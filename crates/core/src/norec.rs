@@ -21,7 +21,7 @@ use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::ring::{filter_bit, FilterRing};
 use crate::sched;
-use crate::sets::{ReadEntry, WriteEntry, WriteKind, WriteSet};
+use crate::sets::{ReadEntry, TxBuffers, WriteEntry, WriteKind};
 use crate::stats::OpCounts;
 use crate::telemetry::PhaseRecorder;
 use crate::util::SpinWait;
@@ -98,8 +98,9 @@ pub struct NorecTx<'a> {
     snapshot: u64,
     /// Bloom filter over the read-set's addresses (ring fast path).
     read_filter: u64,
-    reads: Vec<ReadEntry>,
-    writes: WriteSet,
+    /// Read-set (`reads`), write-set (`writes`) and the WAL record
+    /// scratch (`resolved`); recycled across transactions.
+    bufs: TxBuffers,
     /// Flight-recorder phase marks; inert (its enabled check is the
     /// materialised `level >= Spans` guard) unless
     /// [`NorecTx::enable_spans`] installed a live recorder.
@@ -113,12 +114,14 @@ pub struct NorecTx<'a> {
 }
 
 impl<'a> NorecTx<'a> {
-    /// Create a transaction context bound to `heap` and the global lock.
+    /// Create a transaction context bound to `heap` and the global lock,
+    /// running on (emptied) buffers `bufs`.
     pub(crate) fn new(
         heap: &'a Heap,
         global: &'a NorecGlobal,
         dedup_reads: bool,
         use_ring: bool,
+        bufs: TxBuffers,
     ) -> Self {
         NorecTx {
             heap,
@@ -127,8 +130,7 @@ impl<'a> NorecTx<'a> {
             use_ring,
             snapshot: 0,
             read_filter: 0,
-            reads: Vec::new(),
-            writes: WriteSet::default(),
+            bufs,
             phases: PhaseRecorder::disabled(),
             record_committer: false,
             wal: None,
@@ -153,11 +155,16 @@ impl<'a> NorecTx<'a> {
         self.phases
     }
 
+    /// Hand the buffers back for the thread's next transaction.
+    pub(crate) fn take_buffers(&mut self) -> TxBuffers {
+        std::mem::take(&mut self.bufs)
+    }
+
     /// Begin (or re-begin after an abort): clear metadata and take an even
     /// snapshot of the global lock (Algorithm 6, `Start`).
     pub(crate) fn begin(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
+        self.bufs.reads.clear();
+        self.bufs.writes.clear();
         self.read_filter = 0;
         self.phases.reset();
         let mut wait = SpinWait::new();
@@ -202,7 +209,7 @@ impl<'a> NorecTx<'a> {
                     .map(|missed| missed & self.read_filter == 0)
                     .unwrap_or(false);
             if !fast_clear && !fault::active(fault::SNOREC_SKIP_REVALIDATION) {
-                for e in &self.reads {
+                for e in &self.bufs.reads {
                     if !e.holds(self.heap) {
                         return Err(self.attributed_validation(e));
                     }
@@ -233,7 +240,7 @@ impl<'a> NorecTx<'a> {
     /// Returns the value the transaction would observe for `addr` if it is
     /// buffered, promoting `Increment` entries to reads+stores.
     fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
-        match self.writes.get(addr) {
+        match self.bufs.writes.get(addr) {
             None => Ok(None),
             Some(WriteEntry {
                 kind: WriteKind::Store,
@@ -251,7 +258,7 @@ impl<'a> NorecTx<'a> {
                     operand: observed,
                 });
                 ops.promotes += 1;
-                Ok(Some(self.writes.promote(addr, observed)))
+                Ok(Some(self.bufs.writes.promote(addr, observed)))
             }
         }
     }
@@ -264,10 +271,10 @@ impl<'a> NorecTx<'a> {
         }
         // §4.1 "read after read": duplicates are appended by default; the
         // dedup variant exists as an ablation knob (A2 in DESIGN.md).
-        if self.dedup_reads && self.reads.contains(&entry) {
+        if self.dedup_reads && self.bufs.reads.contains(&entry) {
             return;
         }
-        self.reads.push(entry);
+        self.bufs.reads.push(entry);
     }
 
     /// `TM_READ` (Algorithm 6, lines 37–43).
@@ -286,7 +293,7 @@ impl<'a> NorecTx<'a> {
 
     /// `TM_WRITE` (Algorithm 6, lines 50–52).
     pub(crate) fn write(&mut self, addr: Addr, value: i64) {
-        self.writes.write(addr, value);
+        self.bufs.writes.write(addr, value);
     }
 
     /// Semantic compare, address–value form (Algorithm 6 `Compare`,
@@ -354,7 +361,7 @@ impl<'a> NorecTx<'a> {
     /// lines 44–49): pure write-set bookkeeping; the read happens at
     /// commit time under the global lock.
     pub(crate) fn inc(&mut self, addr: Addr, delta: i64) {
-        self.writes.inc(addr, delta);
+        self.bufs.writes.inc(addr, delta);
     }
 
     /// The failing entry's address plus, when the flight recorder is
@@ -374,7 +381,7 @@ impl<'a> NorecTx<'a> {
     /// sequence lock, re-validating until the CAS lands, then write back
     /// (applying deferred increments against live memory) and release.
     pub(crate) fn commit(&mut self) -> Result<(), Abort> {
-        if self.writes.is_empty() {
+        if self.bufs.writes.is_empty() {
             return Ok(());
         }
         self.phases.mark_lock();
@@ -397,15 +404,12 @@ impl<'a> NorecTx<'a> {
         // into absolute values. The WAL record must hold the resolved
         // values (replay cannot re-run increments), so resolution moves
         // ahead of the log append; without a log it fuses back into the
-        // write-back loop below via the same `resolve` values.
+        // write-back loop below via the same `WriteEntry::resolve`.
         let ticket = if let Some(log) = self.wal {
-            let resolved: Vec<(Addr, i64)> = self
-                .writes
-                .iter()
-                .map(|(addr, e)| (addr, self.resolve(addr, &e)))
-                .collect();
+            let bufs = &mut self.bufs;
+            bufs.writes.resolve_into(self.heap, &mut bufs.resolved);
             sched::point(sched::PointKind::WalAppend);
-            match log.append(&resolved) {
+            match log.append(&bufs.resolved) {
                 Ok(t) => Some(t),
                 Err(_) => {
                     // Nothing written back yet: restore the pre-acquire
@@ -422,9 +426,8 @@ impl<'a> NorecTx<'a> {
         sched::point(sched::PointKind::NorecWriteback);
         self.phases.mark_writeback();
         let mut write_filter = 0u64;
-        for (addr, e) in self.writes.iter() {
-            let v = self.resolve(addr, &e);
-            self.heap.tm_store(addr, v);
+        for (addr, e) in self.bufs.writes.iter() {
+            self.heap.tm_store(addr, e.resolve(self.heap, addr));
             write_filter |= filter_bit(addr.index());
         }
         if self.use_ring {
@@ -447,30 +450,19 @@ impl<'a> NorecTx<'a> {
         Ok(())
     }
 
-    /// The absolute value a write entry stores: deferred increments are
-    /// materialised against live memory (valid only under the commit
-    /// lock, after validation).
-    #[inline]
-    fn resolve(&self, addr: Addr, e: &WriteEntry) -> i64 {
-        match e.kind {
-            WriteKind::Store => e.value,
-            WriteKind::Increment => self.heap.tm_load(addr).wrapping_add(e.value),
-        }
-    }
-
     /// Number of read-set entries (diagnostics/tests).
     pub(crate) fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.bufs.reads.len()
     }
 
     /// Number of write-set entries (flight-recorder spans).
     pub(crate) fn write_set_len(&self) -> usize {
-        self.writes.len()
+        self.bufs.writes.len()
     }
 
     /// Whether the transaction has buffered writes.
     pub(crate) fn is_writer(&self) -> bool {
-        !self.writes.is_empty()
+        !self.bufs.writes.is_empty()
     }
 }
 
@@ -484,7 +476,7 @@ mod tests {
 
     fn commit_write(heap: &Heap, global: &NorecGlobal, addr: Addr, v: i64) {
         // A complete concurrent writer transaction, run inline.
-        let mut tx = NorecTx::new(heap, global, false, false);
+        let mut tx = NorecTx::new(heap, global, false, false, TxBuffers::default());
         tx.begin();
         tx.write(addr, v);
         tx.commit().unwrap();
@@ -495,7 +487,7 @@ mod tests {
         let (heap, global) = setup();
         let a = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut tx = NorecTx::new(&heap, &global, false, false);
+        let mut tx = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         tx.begin();
         tx.write(a, 41);
         assert_eq!(tx.read(a, &mut ops).unwrap(), 41); // RAW
@@ -511,7 +503,7 @@ mod tests {
         let a = heap.alloc(1);
         heap.store(a, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
         commit_write(&heap, &global, a, 6); // concurrent commit
@@ -528,7 +520,7 @@ mod tests {
         heap.store(x, 5);
         let y = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
         commit_write(&heap, &global, x, 6); // x++ equivalent: 5 -> 6, still > 0
@@ -544,7 +536,7 @@ mod tests {
         heap.store(x, 1);
         let y = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
         commit_write(&heap, &global, x, -3); // relation x > 0 now false
@@ -559,7 +551,7 @@ mod tests {
         heap.store(x, -4);
         let y = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         // x > 0 is false; the inverse (x <= 0) is recorded.
         assert!(!t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
@@ -575,11 +567,11 @@ mod tests {
         let (heap, global) = setup();
         let x = heap.alloc(1);
         heap.store(x, 10);
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         t1.inc(x, 1);
         // Concurrent committed increment.
-        let mut t2 = NorecTx::new(&heap, &global, false, false);
+        let mut t2 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t2.begin();
         t2.inc(x, 5);
         t2.commit().unwrap();
@@ -594,7 +586,7 @@ mod tests {
         let x = heap.alloc(1);
         heap.store(x, 7);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         t1.inc(x, 2);
         assert_eq!(t1.read(x, &mut ops).unwrap(), 9); // promoted: 7 + 2
@@ -615,7 +607,7 @@ mod tests {
         heap.store(t, 9);
         let out = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         // head != tail (queue non-empty check, Algorithm 3)
         assert!(t1.cmp_addr(h, CmpOp::Neq, t, &mut ops).unwrap());
@@ -624,7 +616,7 @@ mod tests {
         t1.write(out, 1);
         t1.commit().expect("pair relation still holds");
         // Now make them equal: relation flips, validation must fail.
-        let mut t2 = NorecTx::new(&heap, &global, false, false);
+        let mut t2 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t2.begin();
         assert!(t2.cmp_addr(h, CmpOp::Neq, t, &mut ops).unwrap());
         commit_write(&heap, &global, h, 10);
@@ -638,7 +630,7 @@ mod tests {
         let a = heap.alloc(1);
         let mut ops = OpCounts::default();
         let before = global.time();
-        let mut tx = NorecTx::new(&heap, &global, false, false);
+        let mut tx = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         tx.begin();
         let _ = tx.read(a, &mut ops).unwrap();
         tx.commit().unwrap();
@@ -651,13 +643,13 @@ mod tests {
         let a = heap.alloc(1);
         let mut ops = OpCounts::default();
 
-        let mut tx = NorecTx::new(&heap, &global, false, false);
+        let mut tx = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         tx.begin();
         let _ = tx.read(a, &mut ops).unwrap();
         let _ = tx.read(a, &mut ops).unwrap();
         assert_eq!(tx.read_set_len(), 2);
 
-        let mut tx = NorecTx::new(&heap, &global, true, false);
+        let mut tx = NorecTx::new(&heap, &global, true, false, TxBuffers::default());
         tx.begin();
         let _ = tx.read(a, &mut ops).unwrap();
         let _ = tx.read(a, &mut ops).unwrap();
@@ -677,10 +669,10 @@ mod tests {
 
         // Disjoint concurrent commit: reader revalidation is skippable
         // and the transaction commits.
-        let mut t1 = NorecTx::new(&heap, &global, false, true);
+        let mut t1 = NorecTx::new(&heap, &global, false, true, TxBuffers::default());
         t1.begin();
         assert_eq!(t1.read(x, &mut ops).unwrap(), 5);
-        let mut t2 = NorecTx::new(&heap, &global, false, true);
+        let mut t2 = NorecTx::new(&heap, &global, false, true, TxBuffers::default());
         t2.begin();
         t2.write(y, 9);
         t2.commit().unwrap();
@@ -692,10 +684,10 @@ mod tests {
         // Overlapping commit: the filter hits, full validation runs, and
         // the stale reader aborts exactly as without filters.
         heap.store(x, 5);
-        let mut t3 = NorecTx::new(&heap, &global, false, true);
+        let mut t3 = NorecTx::new(&heap, &global, false, true, TxBuffers::default());
         t3.begin();
         assert_eq!(t3.read(x, &mut ops).unwrap(), 5);
-        let mut t4 = NorecTx::new(&heap, &global, false, true);
+        let mut t4 = NorecTx::new(&heap, &global, false, true, TxBuffers::default());
         t4.begin();
         t4.write(x, 6);
         t4.commit().unwrap();
@@ -710,12 +702,12 @@ mod tests {
         let out = heap.alloc(1);
         heap.store(x, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, true);
+        let mut t1 = NorecTx::new(&heap, &global, false, true, TxBuffers::default());
         t1.begin();
         assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
         // Same-address commit that preserves the relation: filter hits,
         // semantic validation passes.
-        let mut t2 = NorecTx::new(&heap, &global, false, true);
+        let mut t2 = NorecTx::new(&heap, &global, false, true, TxBuffers::default());
         t2.begin();
         t2.write(x, 7);
         t2.commit().unwrap();
@@ -729,12 +721,12 @@ mod tests {
         let a = heap.alloc(1);
         heap.store(a, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
         t1.begin();
         assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
         // Concurrent commit with the recorder on stamps the committer.
-        let mut t2 = NorecTx::new(&heap, &global, false, false);
+        let mut t2 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t2.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
         t2.begin();
         t2.write(a, 6);
@@ -752,7 +744,7 @@ mod tests {
         let a = heap.alloc(1);
         heap.store(a, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
         commit_write(&heap, &global, a, 6);
@@ -770,7 +762,7 @@ mod tests {
         let a = heap.alloc(1);
         heap.store(a, 1);
         let mut ops = OpCounts::default();
-        let mut t1 = NorecTx::new(&heap, &global, false, false);
+        let mut t1 = NorecTx::new(&heap, &global, false, false, TxBuffers::default());
         t1.begin();
         let v = t1.read(a, &mut ops).unwrap();
         t1.write(a, v + 1);

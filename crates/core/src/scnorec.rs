@@ -47,7 +47,7 @@ use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::sched;
 use crate::sclock::ShardedClock;
-use crate::sets::{ReadEntry, WriteEntry, WriteKind, WriteSet};
+use crate::sets::{ReadEntry, TxBuffers, WriteEntry, WriteKind};
 use crate::stats::OpCounts;
 use crate::telemetry::PhaseRecorder;
 use crate::util::SpinWait;
@@ -61,9 +61,6 @@ pub struct ScNorecTx<'a> {
     clock: &'a ShardedClock,
     dedup_reads: bool,
     lock_wait_spins: u32,
-    /// Last validated shard vector (all even). Invariant: every read-set
-    /// entry holds in the heap state determined by these shard values.
-    snapshot: Vec<u64>,
     /// Acquire-epoch sampled *before* the vector pass that produced
     /// `snapshot` ([`ShardedClock::epoch`]). The read fast path compares
     /// one word against this instead of scanning the vector; sampling
@@ -75,13 +72,13 @@ pub struct ScNorecTx<'a> {
     /// Bumped whenever `snapshot` changes — a cheap "did validation move
     /// the snapshot" probe for the pair-read consistency loop.
     snapshot_gen: u64,
-    /// Sampling buffer for validation rounds.
-    sample: Vec<u64>,
-    reads: Vec<ReadEntry>,
-    writes: WriteSet,
-    /// Sorted, deduplicated shard indices covering the write-set
-    /// (populated at commit; kept allocated across attempts).
-    wshards: Vec<usize>,
+    /// The recycled buffers: read-set (`reads`), write-set (`writes`),
+    /// the last validated shard vector (`snapshot`, all even — every
+    /// read-set entry holds in the heap state these shard values
+    /// determine), the validation sampling buffer (`sample`), the sorted,
+    /// deduplicated shards covering the write-set (`targets`, populated
+    /// at commit) and the WAL record scratch (`resolved`).
+    bufs: TxBuffers,
     phases: PhaseRecorder,
     record_committer: bool,
     /// The write-ahead commit log, when the owning [`crate::Stm`] is
@@ -90,25 +87,25 @@ pub struct ScNorecTx<'a> {
 }
 
 impl<'a> ScNorecTx<'a> {
-    /// Create a transaction context bound to `heap` and the shard clock.
+    /// Create a transaction context bound to `heap` and the shard clock,
+    /// running on (emptied) buffers `bufs`.
     pub(crate) fn new(
         heap: &'a Heap,
         clock: &'a ShardedClock,
         dedup_reads: bool,
         lock_wait_spins: u32,
+        mut bufs: TxBuffers,
     ) -> Self {
+        bufs.snapshot.resize(clock.len(), 0);
+        bufs.sample.resize(clock.len(), 0);
         ScNorecTx {
             heap,
             clock,
             dedup_reads,
             lock_wait_spins,
-            snapshot: vec![0; clock.len()],
             epoch_snapshot: 0,
             snapshot_gen: 0,
-            sample: vec![0; clock.len()],
-            reads: Vec::new(),
-            writes: WriteSet::default(),
-            wshards: Vec::new(),
+            bufs,
             phases: PhaseRecorder::disabled(),
             record_committer: false,
             wal: None,
@@ -133,11 +130,16 @@ impl<'a> ScNorecTx<'a> {
         self.phases
     }
 
+    /// Hand the buffers back for the thread's next transaction.
+    pub(crate) fn take_buffers(&mut self) -> TxBuffers {
+        std::mem::take(&mut self.bufs)
+    }
+
     /// Begin (or re-begin after an abort): clear metadata and
     /// double-collect an all-even snapshot of the shard vector.
     pub(crate) fn begin(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
+        self.bufs.reads.clear();
+        self.bufs.writes.clear();
         self.phases.reset();
         let mut wait = SpinWait::new();
         'round: loop {
@@ -151,12 +153,12 @@ impl<'a> ScNorecTx<'a> {
                     wait.spin();
                     continue 'round;
                 }
-                self.snapshot[s] = v;
+                self.bufs.snapshot[s] = v;
             }
             // Confirming pass: all shards still at the sampled values ⇒
             // there was an instant where the whole vector held at once.
             for s in 0..self.clock.len() {
-                if self.clock.load(s) != self.snapshot[s] {
+                if self.clock.load(s) != self.bufs.snapshot[s] {
                     sched::spin();
                     wait.spin();
                     continue 'round;
@@ -174,20 +176,20 @@ impl<'a> ScNorecTx<'a> {
     fn entry_moved(&self, e: &ReadEntry) -> bool {
         let (a, b) = e.addrs();
         let sa = self.clock.shard_of(a);
-        if self.sample[sa] != self.snapshot[sa] {
+        if self.bufs.sample[sa] != self.bufs.snapshot[sa] {
             return true;
         }
         b.is_some_and(|b| {
             let sb = self.clock.shard_of(b);
-            self.sample[sb] != self.snapshot[sb]
+            self.bufs.sample[sb] != self.bufs.snapshot[sb]
         })
     }
 
     /// Is shard `s` one of the write-set shards this commit holds?
-    /// (Meaningful only during commit, when `wshards` is populated.)
+    /// (Meaningful only during commit, when `targets` is populated.)
     #[inline]
     fn holds_shard(&self, s: usize) -> bool {
-        self.wshards.binary_search(&s).is_ok()
+        self.bufs.targets.binary_search(&s).is_ok()
     }
 
     /// One validation pass: sample the vector (treating shards in
@@ -207,7 +209,7 @@ impl<'a> ScNorecTx<'a> {
             let epoch = self.clock.epoch();
             for s in 0..self.clock.len() {
                 if held && self.holds_shard(s) {
-                    self.sample[s] = self.snapshot[s];
+                    self.bufs.sample[s] = self.bufs.snapshot[s];
                     continue;
                 }
                 let v = self.clock.load(s);
@@ -222,11 +224,11 @@ impl<'a> ScNorecTx<'a> {
                     }
                     continue 'round;
                 }
-                self.sample[s] = v;
+                self.bufs.sample[s] = v;
             }
-            let moved = self.sample != self.snapshot;
+            let moved = self.bufs.sample != self.bufs.snapshot;
             if moved && !fault::active(fault::SNOREC_SKIP_REVALIDATION) {
-                for e in &self.reads {
+                for e in &self.bufs.reads {
                     if self.entry_moved(e) && !e.holds(self.heap) {
                         return Err(self.attributed_validation(e));
                     }
@@ -234,12 +236,12 @@ impl<'a> ScNorecTx<'a> {
             }
             sched::point(sched::PointKind::ScNorecValidateRecheck);
             for s in 0..self.clock.len() {
-                if (!held || !self.holds_shard(s)) && self.clock.load(s) != self.sample[s] {
+                if (!held || !self.holds_shard(s)) && self.clock.load(s) != self.bufs.sample[s] {
                     continue 'round;
                 }
             }
             if moved {
-                self.snapshot.copy_from_slice(&self.sample);
+                self.bufs.snapshot.copy_from_slice(&self.bufs.sample);
                 self.snapshot_gen = self.snapshot_gen.wrapping_add(1);
             }
             self.epoch_snapshot = epoch;
@@ -276,7 +278,7 @@ impl<'a> ScNorecTx<'a> {
     /// Read-after-write resolution (as [`crate::norec::NorecTx`]):
     /// returns the buffered value, promoting `Increment` entries.
     fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
-        match self.writes.get(addr) {
+        match self.bufs.writes.get(addr) {
             None => Ok(None),
             Some(WriteEntry {
                 kind: WriteKind::Store,
@@ -293,16 +295,16 @@ impl<'a> ScNorecTx<'a> {
                     operand: observed,
                 });
                 ops.promotes += 1;
-                Ok(Some(self.writes.promote(addr, observed)))
+                Ok(Some(self.bufs.writes.promote(addr, observed)))
             }
         }
     }
 
     fn push_read(&mut self, entry: ReadEntry) {
-        if self.dedup_reads && self.reads.contains(&entry) {
+        if self.dedup_reads && self.bufs.reads.contains(&entry) {
             return;
         }
-        self.reads.push(entry);
+        self.bufs.reads.push(entry);
     }
 
     /// `TM_READ`.
@@ -321,7 +323,7 @@ impl<'a> ScNorecTx<'a> {
 
     /// `TM_WRITE`.
     pub(crate) fn write(&mut self, addr: Addr, value: i64) {
-        self.writes.write(addr, value);
+        self.bufs.writes.write(addr, value);
     }
 
     /// Semantic compare, address–value form.
@@ -384,7 +386,7 @@ impl<'a> ScNorecTx<'a> {
     /// Semantic increment/decrement: pure write-set bookkeeping; the
     /// read happens at commit time under the covering shard lock.
     pub(crate) fn inc(&mut self, addr: Addr, delta: i64) {
-        self.writes.inc(addr, delta);
+        self.bufs.writes.inc(addr, delta);
     }
 
     /// The failing entry's address plus (flight recorder only) the
@@ -401,31 +403,31 @@ impl<'a> ScNorecTx<'a> {
     /// acquire their write-set's shards in ascending order, re-validate
     /// foreign-shard entries under the locks, write back and release.
     pub(crate) fn commit(&mut self) -> Result<(), Abort> {
-        if self.writes.is_empty() {
+        if self.bufs.writes.is_empty() {
             return Ok(());
         }
         self.phases.mark_lock();
-        self.wshards.clear();
-        for (a, _) in self.writes.iter() {
-            self.wshards.push(self.clock.shard_of(a));
+        self.bufs.targets.clear();
+        for (a, _) in self.bufs.writes.iter() {
+            self.bufs.targets.push(self.clock.shard_of(a));
         }
         // Ascending acquisition order: two commits contending for the
         // same shard pair always race on the lower index first, so the
         // acquisition phase itself cannot deadlock (only the foreign-
         // shard wait in `validate_inner(true)` can cycle, and that one
         // is patience-bounded).
-        self.wshards.sort_unstable();
-        self.wshards.dedup();
+        self.bufs.targets.sort_unstable();
+        self.bufs.targets.dedup();
         'acquire: loop {
             sched::point(sched::PointKind::ScNorecCommitAcquire);
-            for k in 0..self.wshards.len() {
-                let s = self.wshards[k];
-                if !self.clock.try_acquire(s, self.snapshot[s]) {
+            for k in 0..self.bufs.targets.len() {
+                let s = self.bufs.targets[k];
+                if !self.clock.try_acquire(s, self.bufs.snapshot[s]) {
                     // Roll back: restore pre-acquire values. Sound
                     // because nothing was written back yet, so the
                     // bounce odd→same-even published no data change.
-                    for &t in &self.wshards[..k] {
-                        self.clock.release(t, self.snapshot[t]);
+                    for &t in &self.bufs.targets[..k] {
+                        self.clock.release(t, self.bufs.snapshot[t]);
                     }
                     self.validate()?;
                     continue 'acquire;
@@ -437,8 +439,8 @@ impl<'a> ScNorecTx<'a> {
         // frozen; entries in foreign shards may have been invalidated
         // since the last validation — re-check them under the locks.
         if let Err(abort) = self.validate_inner(true) {
-            for &s in &self.wshards {
-                self.clock.release(s, self.snapshot[s]);
+            for &s in &self.bufs.targets {
+                self.clock.release(s, self.bufs.snapshot[s]);
             }
             return Err(abort);
         }
@@ -450,17 +452,14 @@ impl<'a> ScNorecTx<'a> {
         // before the epoch bump announces any data change. A refused
         // append rolls back cleanly — nothing was written.
         let ticket = if let Some(log) = self.wal {
-            let resolved: Vec<(Addr, i64)> = self
-                .writes
-                .iter()
-                .map(|(addr, e)| (addr, self.resolve(addr, &e)))
-                .collect();
+            let bufs = &mut self.bufs;
+            bufs.writes.resolve_into(self.heap, &mut bufs.resolved);
             sched::point(sched::PointKind::WalAppend);
-            match log.append(&resolved) {
+            match log.append(&bufs.resolved) {
                 Ok(t) => Some(t),
                 Err(_) => {
-                    for &s in &self.wshards {
-                        self.clock.release(s, self.snapshot[s]);
+                    for &s in &self.bufs.targets {
+                        self.clock.release(s, self.bufs.snapshot[s]);
                     }
                     return Err(Abort::durability());
                 }
@@ -477,12 +476,11 @@ impl<'a> ScNorecTx<'a> {
         // points).
         sched::point(sched::PointKind::ScNorecWriteback);
         self.phases.mark_writeback();
-        for (addr, e) in self.writes.iter() {
-            let v = self.resolve(addr, &e);
-            self.heap.tm_store(addr, v);
+        for (addr, e) in self.bufs.writes.iter() {
+            self.heap.tm_store(addr, e.resolve(self.heap, addr));
         }
-        for &s in &self.wshards {
-            self.clock.release(s, self.snapshot[s] + 2);
+        for &s in &self.bufs.targets {
+            self.clock.release(s, self.bufs.snapshot[s] + 2);
         }
         if let (Some(log), Some(t)) = (self.wal, ticket) {
             // Fail stop on flush failure: the in-memory commit is
@@ -497,29 +495,19 @@ impl<'a> ScNorecTx<'a> {
         Ok(())
     }
 
-    /// The absolute value a write entry stores (increments materialised
-    /// against live memory; valid only with the write shards held).
-    #[inline]
-    fn resolve(&self, addr: Addr, e: &WriteEntry) -> i64 {
-        match e.kind {
-            WriteKind::Store => e.value,
-            WriteKind::Increment => self.heap.tm_load(addr).wrapping_add(e.value),
-        }
-    }
-
     /// Number of read-set entries (diagnostics/tests).
     pub(crate) fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.bufs.reads.len()
     }
 
     /// Number of write-set entries (flight-recorder spans).
     pub(crate) fn write_set_len(&self) -> usize {
-        self.writes.len()
+        self.bufs.writes.len()
     }
 
     /// Whether the transaction has buffered writes.
     pub(crate) fn is_writer(&self) -> bool {
-        !self.writes.is_empty()
+        !self.bufs.writes.is_empty()
     }
 }
 
@@ -533,7 +521,7 @@ mod tests {
     }
 
     fn commit_write(heap: &Heap, clock: &ShardedClock, addr: Addr, v: i64) {
-        let mut tx = ScNorecTx::new(heap, clock, false, 64);
+        let mut tx = ScNorecTx::new(heap, clock, false, 64, TxBuffers::default());
         tx.begin();
         tx.write(addr, v);
         tx.commit().unwrap();
@@ -545,7 +533,7 @@ mod tests {
             let (heap, clock) = setup(shards);
             let a = heap.alloc(1);
             let mut ops = OpCounts::default();
-            let mut tx = ScNorecTx::new(&heap, &clock, false, 64);
+            let mut tx = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
             tx.begin();
             tx.write(a, 41);
             assert_eq!(tx.read(a, &mut ops).unwrap(), 41); // RAW
@@ -574,7 +562,7 @@ mod tests {
             let a = heap.alloc(1);
             heap.store(a, 5);
             let mut ops = OpCounts::default();
-            let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+            let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
             t1.begin();
             assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
             commit_write(&heap, &clock, a, 6);
@@ -593,7 +581,7 @@ mod tests {
         let b = heap.alloc_padded(1); // shard 1
         heap.store(a, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         t1.begin();
         assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
         commit_write(&heap, &clock, b, 9); // foreign shard
@@ -614,7 +602,7 @@ mod tests {
         let b = base.offset(1);
         heap.store(a, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         t1.begin();
         assert_eq!(t1.read(a, &mut ops).unwrap(), 5);
         commit_write(&heap, &clock, b, 9); // same shard, different word
@@ -631,7 +619,7 @@ mod tests {
             heap.store(x, 5);
             let y = heap.alloc_padded(1);
             let mut ops = OpCounts::default();
-            let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+            let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
             t1.begin();
             assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
             commit_write(&heap, &clock, x, 6); // still > 0
@@ -649,7 +637,7 @@ mod tests {
             heap.store(x, 1);
             let y = heap.alloc_padded(1);
             let mut ops = OpCounts::default();
-            let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+            let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
             t1.begin();
             assert!(t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap());
             commit_write(&heap, &clock, x, -3);
@@ -663,10 +651,10 @@ mod tests {
         let (heap, clock) = setup(4);
         let x = heap.alloc(1);
         heap.store(x, 10);
-        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         t1.begin();
         t1.inc(x, 1);
-        let mut t2 = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut t2 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         t2.begin();
         t2.inc(x, 5);
         t2.commit().unwrap();
@@ -681,7 +669,7 @@ mod tests {
         let x = heap.alloc(1);
         heap.store(x, 7);
         let mut ops = OpCounts::default();
-        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         t1.begin();
         t1.inc(x, 2);
         assert_eq!(t1.read(x, &mut ops).unwrap(), 9);
@@ -700,13 +688,13 @@ mod tests {
         heap.store(t, 9);
         let out = heap.alloc_padded(1); // shard 2
         let mut ops = OpCounts::default();
-        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut t1 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         t1.begin();
         assert!(t1.cmp_addr(h, CmpOp::Neq, t, &mut ops).unwrap());
         commit_write(&heap, &clock, t, 10); // bump tail: relation holds
         t1.write(out, 1);
         t1.commit().expect("pair relation still holds");
-        let mut t2 = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut t2 = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         t2.begin();
         assert!(t2.cmp_addr(h, CmpOp::Neq, t, &mut ops).unwrap());
         commit_write(&heap, &clock, h, 10); // head == tail: flips
@@ -719,7 +707,7 @@ mod tests {
         let (heap, clock) = setup(4);
         let a = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut tx = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut tx = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         tx.begin();
         let _ = tx.read(a, &mut ops).unwrap();
         tx.commit().unwrap();
@@ -733,7 +721,7 @@ mod tests {
         let (heap, clock) = setup(4);
         let a = heap.alloc_padded(1); // shard 0
         let b = heap.alloc_padded(1); // shard 1
-        let mut tx = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut tx = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         tx.begin();
         tx.write(a, 1);
         tx.write(b, 2);
@@ -754,7 +742,7 @@ mod tests {
         let (heap, clock) = setup(4);
         let a = heap.alloc_padded(1); // shard 0
         let b = heap.alloc_padded(1); // shard 1
-        let mut tx = ScNorecTx::new(&heap, &clock, false, 64);
+        let mut tx = ScNorecTx::new(&heap, &clock, false, 64, TxBuffers::default());
         tx.begin();
         tx.write(a, 1);
         tx.write(b, 2);
@@ -773,7 +761,7 @@ mod tests {
         let a = heap.alloc_padded(1); // shard 0
         let b = heap.alloc_padded(1); // shard 1
         heap.store(b, 3);
-        let mut tx = ScNorecTx::new(&heap, &clock, false, 16);
+        let mut tx = ScNorecTx::new(&heap, &clock, false, 16, TxBuffers::default());
         tx.begin();
         let mut ops = OpCounts::default();
         // Read from shard 1, write to shard 0.

@@ -9,9 +9,14 @@
 //!   entry indicating a standard write or an increment (§4.1).
 //! * The **compare-set** of S-TL2 reuses the same entry representation as
 //!   the read-set; only its validation rule differs (module [`crate::tl2`]).
+//!
+//! Every engine's buffers live together in one `TxBuffers`, which
+//! [`crate::stm`] recycles across transactions of a thread, so a
+//! steady-state transaction allocates nothing (DESIGN.md §3.1).
 
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
+use crate::tl2::orec::OrecWord;
 use crate::util::hash_u32;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -80,6 +85,19 @@ pub struct WriteEntry {
     pub value: i64,
     /// Entry kind.
     pub kind: WriteKind,
+}
+
+impl WriteEntry {
+    /// The absolute value this entry stores at `addr`: deferred
+    /// increments are materialised against live memory. Valid only under
+    /// the commit lock(s), after validation.
+    #[inline]
+    pub fn resolve(&self, heap: &Heap, addr: Addr) -> i64 {
+        match self.kind {
+            WriteKind::Store => self.value,
+            WriteKind::Increment => heap.tm_load(addr).wrapping_add(self.value),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -198,6 +216,95 @@ impl WriteSet {
     pub fn clear(&mut self) {
         self.map.clear();
         self.entries.clear();
+    }
+
+    /// Replace `out` with every entry's resolved absolute value, in
+    /// insertion order (the WAL record; see [`WriteEntry::resolve`]).
+    pub fn resolve_into(&self, heap: &Heap, out: &mut Vec<(Addr, i64)>) {
+        out.clear();
+        out.extend(self.iter().map(|(addr, e)| (addr, e.resolve(heap, addr))));
+    }
+}
+
+/// Most entries a recycled buffer keeps room for. A transaction that grew
+/// a buffer past this gives its memory back to the allocator when it ends,
+/// so one huge transaction does not pin memory for the rest of the
+/// thread's life (and every later `clear` stays cheap).
+pub(crate) const RETAINED_ENTRIES: usize = 4096;
+
+/// Every engine's per-transaction buffers, reused across the transactions
+/// of one thread (see [`crate::stm`]). An engine takes the whole value at
+/// construction and hands it back when its [`crate::Tx`] ends; each
+/// engine uses only its own fields.
+#[derive(Default)]
+pub(crate) struct TxBuffers {
+    /// NOrec-family read-set.
+    pub(crate) reads: Vec<ReadEntry>,
+    /// TL2 read-set: orec indices of plain reads.
+    pub(crate) orec_reads: Vec<usize>,
+    /// S-TL2 compare-set.
+    pub(crate) compares: Vec<ReadEntry>,
+    /// The write-set (every engine).
+    pub(crate) writes: WriteSet,
+    /// TL2 orecs locked during commit, with their pre-lock words.
+    pub(crate) locked: Vec<(usize, OrecWord)>,
+    /// Sorted, deduplicated lock targets of a commit: orec indices (TL2)
+    /// or clock shards (sharded NOrec).
+    pub(crate) targets: Vec<usize>,
+    /// The resolved write-set handed to the commit log.
+    pub(crate) resolved: Vec<(Addr, i64)>,
+    /// Sharded NOrec: last validated shard vector.
+    pub(crate) snapshot: Vec<u64>,
+    /// Sharded NOrec: sampling buffer for validation rounds.
+    pub(crate) sample: Vec<u64>,
+}
+
+impl TxBuffers {
+    /// Empty every buffer and release any grown past
+    /// [`RETAINED_ENTRIES`], ready for the thread's next transaction.
+    pub(crate) fn recycle(&mut self) {
+        fn trim<T>(v: &mut Vec<T>) {
+            if v.capacity() > RETAINED_ENTRIES {
+                *v = Vec::new();
+            } else {
+                v.clear();
+            }
+        }
+        trim(&mut self.reads);
+        trim(&mut self.orec_reads);
+        trim(&mut self.compares);
+        trim(&mut self.locked);
+        trim(&mut self.targets);
+        trim(&mut self.resolved);
+        trim(&mut self.snapshot);
+        trim(&mut self.sample);
+        if self.writes.map.capacity() > RETAINED_ENTRIES
+            || self.writes.entries.capacity() > RETAINED_ENTRIES
+        {
+            self.writes = WriteSet::default();
+        } else {
+            self.writes.clear();
+        }
+    }
+
+    /// The largest capacity any buffer retains (tests of the bound).
+    #[cfg(test)]
+    pub(crate) fn max_capacity(&self) -> usize {
+        [
+            self.reads.capacity(),
+            self.orec_reads.capacity(),
+            self.compares.capacity(),
+            self.locked.capacity(),
+            self.targets.capacity(),
+            self.resolved.capacity(),
+            self.snapshot.capacity(),
+            self.sample.capacity(),
+            self.writes.map.capacity(),
+            self.writes.entries.capacity(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
     }
 }
 

@@ -10,6 +10,13 @@
 //! workload source-identical across all four algorithms, which is what
 //! makes the base-vs-semantic columns of Table 3 and the figure legends
 //! directly comparable.
+//!
+//! A transaction's set buffers (`sets::TxBuffers`) are recycled per thread:
+//! [`Tx`] takes them from a thread-local slot when it is built and puts
+//! them back, emptied, when it drops, so a steady-state transaction makes
+//! no heap allocation. A nested `Tx` finds the slot empty and allocates
+//! its own; buffers grown past `sets::RETAINED_ENTRIES` entries
+//! are released instead of parked (DESIGN.md §3.1).
 
 use crate::adapt::{self, Controller, Mode, ModeMachine, SwitchError, SwitchReport};
 use crate::cm::ContentionManager;
@@ -20,12 +27,14 @@ use crate::norec::{NorecGlobal, NorecTx};
 use crate::ops::CmpOp;
 use crate::sclock::ShardedClock;
 use crate::scnorec::ScNorecTx;
+use crate::sets::TxBuffers;
 use crate::stats::{OpCounts, StatsSnapshot};
-use crate::telemetry::{PhaseRecorder, SpanEvent, Telemetry, TelemetryLevel};
+use crate::telemetry::{PhaseRecorder, SpanEvent, StatShard, Telemetry, TelemetryLevel};
 use crate::tl2::{Tl2Global, Tl2Tx};
 use crate::util::thread_token;
 use crate::value::Word;
 use crate::wal::{CommitLog, LogStorage};
+use std::cell::Cell;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -242,91 +251,20 @@ impl Stm {
         // One TLS lookup per transaction, not per event: the shard
         // reference stays hot in a register across retries.
         let shard = self.telemetry.shard();
-        let histograms = self.telemetry.level() >= TelemetryLevel::Histograms;
-        let trace = self.telemetry.level() >= TelemetryLevel::Trace;
-        let spans = self.telemetry.level() >= TelemetryLevel::Spans;
-        let started = if histograms {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let rec = self.recording();
+        let started = rec.histograms.then(Instant::now);
         let mut attempt: u32 = 0;
         let mut attempts_total: u64 = 1;
         loop {
-            // Every per-attempt flight-recorder cost sits behind the
-            // `spans` guard; at lower levels this loop is unchanged.
-            let attempt_start = if spans {
-                self.telemetry.elapsed_ns()
-            } else {
-                0
-            };
+            let attempt_start = self.attempt_start(rec);
             tx.begin();
-            let outcome = body(&mut tx).and_then(|v| tx.commit().map(|()| v));
-            match outcome {
+            match body(&mut tx).and_then(|v| tx.commit().map(|()| v)) {
                 Ok(v) => {
-                    // Retire from the epoch first: commit (including its
-                    // WAL durability ack) is done, so a draining switch
-                    // need not wait out the telemetry recording below.
-                    self.machine.exit();
-                    shard.record_commit(&tx.ops);
-                    if let Some(t0) = started {
-                        self.telemetry.record_commit_profile(
-                            t0.elapsed().as_nanos() as u64,
-                            attempts_total,
-                            tx.read_set_len(),
-                            tx.compare_set_len(),
-                        );
-                    }
-                    if spans {
-                        let end = self.telemetry.elapsed_ns();
-                        self.telemetry.record_span(tx.span(
-                            attempt_start,
-                            end,
-                            attempts_total as u32,
-                            None,
-                        ));
-                    }
+                    self.retire_commit(&tx, shard, rec, started, attempt_start, attempts_total);
                     return v;
                 }
                 Err(abort) => {
-                    // Capture the span (set sizes and all) before rollback
-                    // releases the metadata.
-                    let span = if spans {
-                        Some(tx.span(
-                            attempt_start,
-                            self.telemetry.elapsed_ns(),
-                            attempts_total as u32,
-                            Some((abort.reason, abort.conflict())),
-                        ))
-                    } else {
-                        None
-                    };
-                    let (rs, cs) = if trace {
-                        (tx.read_set_len(), tx.compare_set_len())
-                    } else {
-                        (0, 0)
-                    };
-                    tx.rollback();
-                    // Rollback released any engine metadata (TL2 orec
-                    // locks), so this attempt is fully retired: leave
-                    // the epoch before backing off — a draining switch
-                    // must not wait out our backoff pause.
-                    self.machine.exit();
-                    shard.record_abort(abort.reason, &tx.ops);
-                    if trace {
-                        self.telemetry.record_abort_event(
-                            abort.reason,
-                            abort.conflict(),
-                            attempts_total as u32,
-                            rs,
-                            cs,
-                        );
-                    }
-                    if let Some(span) = span {
-                        let victim = span.thread;
-                        self.telemetry.record_span(span);
-                        self.telemetry.record_conflict(victim, abort.conflict());
-                    }
+                    self.retire_abort(&mut tx, shard, rec, &abort, attempt_start, attempts_total);
                     // Fail stop on durability failures: the rollback was
                     // clean (the append is refused before any heap
                     // write-back), but retrying against a poisoned log
@@ -337,7 +275,7 @@ impl Stm {
                         panic!("commit log I/O failure: {abort} — aborting (fail-stop durability)");
                     }
                     let spins = cm.pause(attempt, abort.reason);
-                    if histograms {
+                    if rec.histograms {
                         self.telemetry.record_backoff(spins);
                     }
                     // Under the deterministic scheduler, retrying after an
@@ -354,12 +292,12 @@ impl Stm {
                     // Re-enter for the retry. A switch may have landed
                     // while we were out (backoff): rebuild the attempt
                     // context only when the engine actually changed —
-                    // an epoch bump alone keeps the hot buffers.
+                    // an epoch bump alone keeps the engine as it is.
                     let word = self.machine.enter();
                     if word != entered {
                         let next = adapt::word_mode(word);
                         if next != mode {
-                            tx = Tx::new(self, next);
+                            tx.switch_engine(self, next);
                             mode = next;
                         }
                         entered = word;
@@ -370,7 +308,10 @@ impl Stm {
     }
 
     /// Run `body` as a transaction **once**, returning the abort instead
-    /// of retrying. Useful for tests that assert on specific conflicts.
+    /// of retrying. Useful for tests that assert on specific conflicts,
+    /// and the entry point of callers that run their own retry loop (the
+    /// IR interpreter). Records the same telemetry as one attempt of
+    /// [`Stm::atomic`]: a commit counts as a one-attempt transaction.
     pub fn try_atomic<T>(
         &self,
         body: impl FnOnce(&mut Tx<'_>) -> Result<T, Abort>,
@@ -378,21 +319,158 @@ impl Stm {
         let entered = self.machine.enter();
         let mut tx = Tx::new(self, adapt::word_mode(entered));
         let shard = self.telemetry.shard();
+        let rec = self.recording();
+        let started = rec.histograms.then(Instant::now);
+        let attempt_start = self.attempt_start(rec);
         tx.begin();
         let outcome = body(&mut tx).and_then(|v| tx.commit().map(|()| v));
         match &outcome {
-            Ok(_) => {
-                self.machine.exit();
-                shard.record_commit(&tx.ops);
-            }
-            Err(abort) => {
-                tx.rollback();
-                self.machine.exit();
-                shard.record_abort(abort.reason, &tx.ops);
-            }
+            Ok(_) => self.retire_commit(&tx, shard, rec, started, attempt_start, 1),
+            Err(abort) => self.retire_abort(&mut tx, shard, rec, abort, attempt_start, 1),
         }
         outcome
     }
+
+    /// What the telemetry level asks each attempt to record.
+    #[inline]
+    fn recording(&self) -> Recording {
+        let level = self.telemetry.level();
+        Recording {
+            histograms: level >= TelemetryLevel::Histograms,
+            trace: level >= TelemetryLevel::Trace,
+            spans: level >= TelemetryLevel::Spans,
+        }
+    }
+
+    /// An attempt's start on the span timeline (0 below `Spans`: every
+    /// per-attempt flight-recorder cost sits behind the `spans` flag).
+    #[inline]
+    fn attempt_start(&self, rec: Recording) -> u64 {
+        if rec.spans {
+            self.telemetry.elapsed_ns()
+        } else {
+            0
+        }
+    }
+
+    /// Retire a committed attempt: leave the adaptive epoch, then record
+    /// the counters, the commit profile (latency from `started`) and the
+    /// span. `attempts` counts this transaction's attempts so far.
+    #[inline]
+    fn retire_commit(
+        &self,
+        tx: &Tx<'_>,
+        shard: &StatShard,
+        rec: Recording,
+        started: Option<Instant>,
+        attempt_start: u64,
+        attempts: u64,
+    ) {
+        // Retire from the epoch first: commit (including its WAL
+        // durability ack) is done, so a draining switch need not wait out
+        // the telemetry recording below.
+        self.machine.exit();
+        shard.record_commit(&tx.ops);
+        if let Some(t0) = started {
+            self.telemetry.record_commit_profile(
+                t0.elapsed().as_nanos() as u64,
+                attempts,
+                tx.read_set_len(),
+                tx.compare_set_len(),
+            );
+        }
+        if rec.spans {
+            let end = self.telemetry.elapsed_ns();
+            self.telemetry
+                .record_span(tx.span(attempt_start, end, attempts as u32, None));
+        }
+    }
+
+    /// Retire an aborted attempt: capture its span and set sizes, roll it
+    /// back, leave the adaptive epoch, then record the counters, the
+    /// abort event and the span with its conflict attribution.
+    #[inline]
+    fn retire_abort(
+        &self,
+        tx: &mut Tx<'_>,
+        shard: &StatShard,
+        rec: Recording,
+        abort: &Abort,
+        attempt_start: u64,
+        attempts: u64,
+    ) {
+        // Capture the span (set sizes and all) before rollback releases
+        // the metadata.
+        let span = rec.spans.then(|| {
+            tx.span(
+                attempt_start,
+                self.telemetry.elapsed_ns(),
+                attempts as u32,
+                Some((abort.reason, abort.conflict())),
+            )
+        });
+        let (rs, cs) = if rec.trace {
+            (tx.read_set_len(), tx.compare_set_len())
+        } else {
+            (0, 0)
+        };
+        tx.rollback();
+        // Rollback released any engine metadata (TL2 orec locks), so this
+        // attempt is fully retired: leave the epoch before backing off — a
+        // draining switch must not wait out our backoff pause.
+        self.machine.exit();
+        shard.record_abort(abort.reason, &tx.ops);
+        if rec.trace {
+            self.telemetry.record_abort_event(
+                abort.reason,
+                abort.conflict(),
+                attempts as u32,
+                rs,
+                cs,
+            );
+        }
+        if let Some(span) = span {
+            let victim = span.thread;
+            self.telemetry.record_span(span);
+            self.telemetry.record_conflict(victim, abort.conflict());
+        }
+    }
+}
+
+/// The per-attempt recording a telemetry level asks for, read once per
+/// transaction. At `Counters` every flag is off and an attempt records
+/// only its shard counters.
+#[derive(Clone, Copy)]
+struct Recording {
+    histograms: bool,
+    trace: bool,
+    spans: bool,
+}
+
+thread_local! {
+    /// The calling thread's recycled transaction buffers. [`Tx::new`]
+    /// takes them and the `Tx` gives them back, emptied, when it drops.
+    /// While a `Tx` of this thread is live the slot is empty, so a nested
+    /// transaction (on another `Stm`, say) builds fresh buffers.
+    static TX_BUFFERS: Cell<Option<TxBuffers>> = const { Cell::new(None) };
+}
+
+/// The thread's recycled buffers, or fresh ones if a live `Tx` holds them.
+fn take_buffers() -> TxBuffers {
+    TX_BUFFERS
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+/// Empty `bufs`, release what grew past the retention bound and park the
+/// rest for the thread's next transaction.
+fn give_back(mut bufs: TxBuffers) {
+    bufs.recycle();
+    // Fails only while the thread is being torn down; the buffers are
+    // then simply dropped.
+    let _ = TX_BUFFERS.try_with(|slot| slot.set(Some(bufs)));
 }
 
 enum TxInner<'a> {
@@ -410,8 +488,9 @@ pub struct Tx<'a> {
     ops: OpCounts,
 }
 
-impl<'a> Tx<'a> {
-    fn new(stm: &'a Stm, mode: Mode) -> Tx<'a> {
+impl<'a> TxInner<'a> {
+    /// The engine `mode` dispatches on, running on `bufs`.
+    fn build(stm: &'a Stm, mode: Mode, bufs: TxBuffers) -> TxInner<'a> {
         // Dispatch on the *mode*, not the construction-time algorithm:
         // all engine globals coexist in the Stm, so an adaptive switch
         // is just a different arm here on the next attempt. (Before
@@ -419,51 +498,77 @@ impl<'a> Tx<'a> {
         // preserves the old rule, including `clock_shards > 1` selecting
         // the sharded engine only after its DFS + fuzz gates pass —
         // crates/check/tests/sharded_clock.rs.)
-        let inner = match (mode.algorithm.baseline(), mode.sharded) {
+        let mut inner = match (mode.algorithm.baseline(), mode.sharded) {
             (Algorithm::NOrec, true) => TxInner::ScNorec(ScNorecTx::new(
                 &stm.heap,
                 &stm.sclock,
                 stm.config.snorec_dedup_reads,
                 stm.config.lock_wait_spins,
+                bufs,
             )),
             (Algorithm::NOrec, false) => TxInner::Norec(NorecTx::new(
                 &stm.heap,
                 &stm.norec,
                 stm.config.snorec_dedup_reads,
                 stm.config.norec_ring_filters,
+                bufs,
             )),
             (Algorithm::Tl2, _) => TxInner::Tl2(Tl2Tx::new(
                 &stm.heap,
                 &stm.tl2,
                 stm.config.lock_wait_spins,
                 stm.config.stl2_snapshot_extension,
+                bufs,
             )),
             _ => unreachable!("baseline() returns a baseline"),
-        };
-        let mut tx = Tx {
-            inner,
-            semantic: mode.algorithm.is_semantic(),
-            ops: OpCounts::default(),
         };
         // At Spans the recorder is live (its epoch is the telemetry
         // clock); below, this installs the inert recorder — the no-op
         // marks inside the algorithms stay behind its `None` check.
         let recorder = stm.telemetry.phase_recorder();
         if recorder.is_enabled() {
-            match &mut tx.inner {
+            match &mut inner {
                 TxInner::Norec(t) => t.enable_spans(recorder),
                 TxInner::ScNorec(t) => t.enable_spans(recorder),
                 TxInner::Tl2(t) => t.enable_spans(recorder),
             }
         }
         if let Some(log) = &stm.wal {
-            match &mut tx.inner {
+            match &mut inner {
                 TxInner::Norec(t) => t.enable_wal(log),
                 TxInner::ScNorec(t) => t.enable_wal(log),
                 TxInner::Tl2(t) => t.enable_wal(log),
             }
         }
-        tx
+        inner
+    }
+
+    fn take_buffers(&mut self) -> TxBuffers {
+        match self {
+            TxInner::Norec(t) => t.take_buffers(),
+            TxInner::ScNorec(t) => t.take_buffers(),
+            TxInner::Tl2(t) => t.take_buffers(),
+        }
+    }
+}
+
+impl<'a> Tx<'a> {
+    /// An attempt context for `mode`, on the thread's recycled buffers.
+    fn new(stm: &'a Stm, mode: Mode) -> Tx<'a> {
+        Tx {
+            inner: TxInner::build(stm, mode, take_buffers()),
+            semantic: mode.algorithm.is_semantic(),
+            ops: OpCounts::default(),
+        }
+    }
+
+    /// Rebuild the attempt context for `mode` after an adaptive switch,
+    /// moving the buffers over to the new engine.
+    fn switch_engine(&mut self, stm: &'a Stm, mode: Mode) {
+        let mut bufs = self.inner.take_buffers();
+        bufs.recycle();
+        self.inner = TxInner::build(stm, mode, bufs);
+        self.semantic = mode.algorithm.is_semantic();
     }
 
     fn begin(&mut self) {
@@ -644,8 +749,8 @@ impl<'a> Tx<'a> {
     }
 
     /// Snapshot this attempt as a flight-recorder span. Must run before
-    /// rollback (the set sizes are still live) — `Stm::atomic` is the
-    /// only caller.
+    /// rollback (the set sizes are still live) — `Stm::retire_abort`
+    /// captures it first.
     fn span(
         &self,
         start_ns: u64,
@@ -667,6 +772,12 @@ impl<'a> Tx<'a> {
             compare_set: self.compare_set_len(),
             abort,
         }
+    }
+}
+
+impl Drop for Tx<'_> {
+    fn drop(&mut self) {
+        give_back(self.inner.take_buffers());
     }
 }
 
@@ -1000,6 +1111,108 @@ mod tests {
         assert_eq!(stm.read_now(b), threads * per / 2);
         assert_eq!(stm.stats().commits, (threads * per) as u64);
         assert_eq!(stm.switch_count(), 18);
+    }
+
+    #[test]
+    fn recycled_buffers_start_empty_on_another_stm_and_engine() {
+        // An attempt on one runtime aborts holding a large write set; the
+        // thread's next transaction, on a different runtime and engine,
+        // reuses those buffers and must see none of it.
+        for (first, second) in [
+            (Algorithm::STl2, Algorithm::SNOrec),
+            (Algorithm::SNOrec, Algorithm::Tl2),
+            (Algorithm::NOrec, Algorithm::STl2),
+        ] {
+            let a = Stm::new(StmConfig::new(first).heap_words(256).orec_count(64));
+            let b = Stm::new(StmConfig::new(second).heap_words(256).orec_count(64));
+            let cells_a = a.alloc_array(200, 0i64);
+            let cells_b = b.alloc_array(200, 0i64);
+            let r = a.try_atomic(|tx| -> Result<(), Abort> {
+                for i in 0..200 {
+                    let _ = tx.gt(cells_a.offset(i), -1)?;
+                    tx.write(cells_a.offset(i), 7)?;
+                }
+                Err(Abort::explicit())
+            });
+            assert_eq!(r, Err(Abort::explicit()));
+            let target = cells_b.offset(3);
+            b.atomic(|tx| {
+                assert_eq!(tx.metadata_len(), 0, "{first} -> {second}");
+                assert!(!tx.is_writer(), "{first} -> {second}");
+                tx.write(target, 42)
+            });
+            for i in 0..200 {
+                let want = if i == 3 { 42 } else { 0 };
+                assert_eq!(b.read_now(cells_b.offset(i)), want, "{first} -> {second}");
+                assert_eq!(a.read_now(cells_a.offset(i)), 0, "{first} -> {second}");
+            }
+        }
+    }
+
+    #[test]
+    fn nested_atomic_on_a_second_stm_gets_its_own_buffers() {
+        let outer = Stm::new(StmConfig::new(Algorithm::SNOrec).heap_words(64));
+        let inner = Stm::new(
+            StmConfig::new(Algorithm::STl2)
+                .heap_words(64)
+                .orec_count(16),
+        );
+        let a = outer.alloc_cell(1i64);
+        let out = outer.alloc_cell(0i64);
+        let b = inner.alloc_cell(10i64);
+        outer.atomic(|tx| {
+            let v = tx.read(a)?;
+            tx.write(a, v + 1)?;
+            let w = inner.atomic(|tx2| {
+                assert_eq!(tx2.metadata_len(), 0);
+                assert!(!tx2.is_writer());
+                tx2.inc(b, 5)?;
+                tx2.read(b)
+            });
+            // The inner transaction's sets never touch the outer's.
+            assert_eq!(tx.read_set_len(), 1);
+            assert_eq!(tx.write_set_len(), 1);
+            tx.write(out, w)
+        });
+        assert_eq!(outer.read_now(a), 2);
+        assert_eq!(outer.read_now(out), 15);
+        assert_eq!(inner.read_now(b), 15);
+        assert_eq!(outer.stats().commits, 1);
+        assert_eq!(inner.stats().commits, 1);
+    }
+
+    #[test]
+    fn buffers_past_the_retention_bound_are_released() {
+        let parked = || {
+            TX_BUFFERS.with(|slot| {
+                let bufs = slot.take().expect("a finished Tx parks its buffers");
+                let cap = bufs.max_capacity();
+                slot.set(Some(bufs));
+                cap
+            })
+        };
+        let n = crate::sets::RETAINED_ENTRIES + 1;
+        for alg in Algorithm::ALL {
+            let stm = Stm::new(StmConfig::new(alg).heap_words(2 * n).orec_count(1 << 8));
+            let cells = stm.alloc_array(n, 1i64);
+            stm.atomic(|tx| {
+                let v = tx.read(cells)?;
+                tx.write(cells, v + 1)
+            });
+            assert!(parked() > 0, "{alg}: small buffers are kept");
+            stm.atomic(|tx| {
+                for i in 0..n {
+                    let _ = tx.gt(cells.offset(i), 0)?;
+                    tx.inc(cells.offset(i), 1)?;
+                }
+                Ok(())
+            });
+            assert!(
+                parked() <= crate::sets::RETAINED_ENTRIES,
+                "{alg}: a buffer past the bound was kept"
+            );
+            assert_eq!(stm.read_now(cells.offset(n - 1)), 2, "{alg}");
+        }
     }
 
     #[test]

@@ -109,17 +109,26 @@ pub struct StatShard {
     aborted_promotes: AtomicU64,
 }
 
+/// Add `n` to a counter, skipping the read-modify-write when there is
+/// nothing to add (most transactions use only one or two operation kinds).
+#[inline]
+fn add(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 impl StatShard {
     /// Record a committed transaction together with its operation counts.
     #[inline]
     pub fn record_commit(&self, ops: &OpCounts) {
         self.commits.fetch_add(1, Ordering::Relaxed);
-        self.reads.fetch_add(ops.reads, Ordering::Relaxed);
-        self.writes.fetch_add(ops.writes, Ordering::Relaxed);
-        self.cmps.fetch_add(ops.cmps, Ordering::Relaxed);
-        self.cmp_pairs.fetch_add(ops.cmp_pairs, Ordering::Relaxed);
-        self.incs.fetch_add(ops.incs, Ordering::Relaxed);
-        self.promotes.fetch_add(ops.promotes, Ordering::Relaxed);
+        add(&self.reads, ops.reads);
+        add(&self.writes, ops.writes);
+        add(&self.cmps, ops.cmps);
+        add(&self.cmp_pairs, ops.cmp_pairs);
+        add(&self.incs, ops.incs);
+        add(&self.promotes, ops.promotes);
     }
 
     /// Record an aborted attempt, flushing its operation counts into the
@@ -136,14 +145,12 @@ impl StatShard {
             AbortReason::Durability => &self.aborts_durability,
         };
         ctr.fetch_add(1, Ordering::Relaxed);
-        self.aborted_reads.fetch_add(ops.reads, Ordering::Relaxed);
-        self.aborted_writes.fetch_add(ops.writes, Ordering::Relaxed);
-        self.aborted_cmps.fetch_add(ops.cmps, Ordering::Relaxed);
-        self.aborted_cmp_pairs
-            .fetch_add(ops.cmp_pairs, Ordering::Relaxed);
-        self.aborted_incs.fetch_add(ops.incs, Ordering::Relaxed);
-        self.aborted_promotes
-            .fetch_add(ops.promotes, Ordering::Relaxed);
+        add(&self.aborted_reads, ops.reads);
+        add(&self.aborted_writes, ops.writes);
+        add(&self.aborted_cmps, ops.cmps);
+        add(&self.aborted_cmp_pairs, ops.cmp_pairs);
+        add(&self.aborted_incs, ops.incs);
+        add(&self.aborted_promotes, ops.promotes);
     }
 
     fn merge_into(&self, out: &mut StatsSnapshot) {

@@ -34,7 +34,7 @@ use crate::fault;
 use crate::heap::{Addr, Heap};
 use crate::ops::CmpOp;
 use crate::sched;
-use crate::sets::{ReadEntry, WriteEntry, WriteKind, WriteSet};
+use crate::sets::{ReadEntry, TxBuffers, WriteEntry, WriteKind};
 use crate::stats::OpCounts;
 use crate::telemetry::PhaseRecorder;
 use crate::util::{thread_token, SpinWait};
@@ -99,14 +99,13 @@ pub struct Tl2Tx<'a> {
     lock_wait_spins: u32,
     snapshot_extension: bool,
     start_version: u64,
-    /// Orec indices of plain reads (Algorithm 7 line 48 stores orecs, not
-    /// addresses).
-    reads: Vec<usize>,
-    /// Semantic compare entries (separate set, §4.2).
-    compares: Vec<ReadEntry>,
-    writes: WriteSet,
-    /// Orecs locked during commit, with their pre-lock words for rollback.
-    locked: Vec<(usize, OrecWord)>,
+    /// The recycled buffers: orec indices of plain reads (`orec_reads`;
+    /// Algorithm 7 line 48 stores orecs, not addresses), semantic compare
+    /// entries (`compares`, a separate set, §4.2), the write-set
+    /// (`writes`), the orecs locked during commit with their pre-lock
+    /// words for rollback (`locked`), the sorted lock targets
+    /// (`targets`) and the WAL record scratch (`resolved`).
+    bufs: TxBuffers,
     /// Flight-recorder phase marks; inert (its enabled check is the
     /// materialised `level >= Spans` guard) unless
     /// [`Tl2Tx::enable_spans`] installed a live recorder.
@@ -125,6 +124,7 @@ impl<'a> Tl2Tx<'a> {
         global: &'a Tl2Global,
         lock_wait_spins: u32,
         snapshot_extension: bool,
+        bufs: TxBuffers,
     ) -> Self {
         Tl2Tx {
             heap,
@@ -133,10 +133,7 @@ impl<'a> Tl2Tx<'a> {
             lock_wait_spins,
             snapshot_extension,
             start_version: 0,
-            reads: Vec::new(),
-            compares: Vec::new(),
-            writes: WriteSet::default(),
-            locked: Vec::new(),
+            bufs,
             phases: PhaseRecorder::disabled(),
             record_committer: false,
             wal: None,
@@ -161,13 +158,18 @@ impl<'a> Tl2Tx<'a> {
         self.phases
     }
 
+    /// Hand the buffers back for the thread's next transaction.
+    pub(crate) fn take_buffers(&mut self) -> TxBuffers {
+        std::mem::take(&mut self.bufs)
+    }
+
     /// Begin / re-begin: clear metadata, snapshot the clock (Algorithm 7
     /// `Start`).
     pub(crate) fn begin(&mut self) {
-        debug_assert!(self.locked.is_empty(), "locks leaked across attempts");
-        self.reads.clear();
-        self.compares.clear();
-        self.writes.clear();
+        debug_assert!(self.bufs.locked.is_empty(), "locks leaked across attempts");
+        self.bufs.orec_reads.clear();
+        self.bufs.compares.clear();
+        self.bufs.writes.clear();
         self.phases.reset();
         sched::point(sched::PointKind::Tl2Begin);
         self.start_version = self.global.now();
@@ -210,7 +212,7 @@ impl<'a> Tl2Tx<'a> {
     /// Read-after-write resolution (same rules as Algorithm 6's `RAW`):
     /// promoted increments become plain reads + stores.
     fn raw(&mut self, addr: Addr, ops: &mut OpCounts) -> Result<Option<i64>, Abort> {
-        match self.writes.get(addr) {
+        match self.bufs.writes.get(addr) {
             None => Ok(None),
             Some(WriteEntry {
                 kind: WriteKind::Store,
@@ -222,7 +224,7 @@ impl<'a> Tl2Tx<'a> {
             }) => {
                 let observed = self.read_validated(addr)?;
                 ops.promotes += 1;
-                Ok(Some(self.writes.promote(addr, observed)))
+                Ok(Some(self.bufs.writes.promote(addr, observed)))
             }
         }
     }
@@ -247,7 +249,7 @@ impl<'a> Tl2Tx<'a> {
         if l1 != l2 || l1.version() > self.start_version {
             return Err(self.validation_at(oi).at_addr(addr));
         }
-        self.reads.push(oi);
+        self.bufs.orec_reads.push(oi);
         Ok(val)
     }
 
@@ -261,18 +263,18 @@ impl<'a> Tl2Tx<'a> {
 
     /// `TM_WRITE` — buffered, like Algorithm 6.
     pub(crate) fn write(&mut self, addr: Addr, value: i64) {
-        self.writes.write(addr, value);
+        self.bufs.writes.write(addr, value);
     }
 
     /// `TM_INC` — deferred delta in the write-set.
     pub(crate) fn inc(&mut self, addr: Addr, delta: i64) {
-        self.writes.inc(addr, delta);
+        self.bufs.writes.inc(addr, delta);
     }
 
     /// Whether the transaction is still in phase 1 (no plain reads yet).
     #[inline]
     fn in_phase1(&self) -> bool {
-        self.reads.is_empty() && self.snapshot_extension
+        self.bufs.orec_reads.is_empty() && self.snapshot_extension
     }
 
     /// Phase-1 tolerant read of one word: waits out locks and retries
@@ -327,7 +329,7 @@ impl<'a> Tl2Tx<'a> {
         if self.in_phase1() {
             let (val, l1) = self.patient_read(addr)?;
             let result = op.eval(val, operand);
-            self.compares.push(ReadEntry::Val {
+            self.bufs.compares.push(ReadEntry::Val {
                 addr,
                 op: if result { op } else { op.inverse() },
                 operand,
@@ -352,7 +354,7 @@ impl<'a> Tl2Tx<'a> {
                 return Err(self.validation_at(oi).at_addr(addr));
             }
             let result = op.eval(val, operand);
-            self.compares.push(ReadEntry::Val {
+            self.bufs.compares.push(ReadEntry::Val {
                 addr,
                 op: if result { op } else { op.inverse() },
                 operand,
@@ -382,7 +384,7 @@ impl<'a> Tl2Tx<'a> {
                     let (va, l1a) = self.patient_read(a)?;
                     let (vb, l1b) = self.patient_read(b)?;
                     let result = op.eval(va, vb);
-                    self.compares.push(ReadEntry::Pair {
+                    self.bufs.compares.push(ReadEntry::Pair {
                         a,
                         op: if result { op } else { op.inverse() },
                         b,
@@ -395,7 +397,7 @@ impl<'a> Tl2Tx<'a> {
                     let va = self.phase2_load(a)?;
                     let vb = self.phase2_load(b)?;
                     let result = op.eval(va, vb);
-                    self.compares.push(ReadEntry::Pair {
+                    self.bufs.compares.push(ReadEntry::Pair {
                         a,
                         op: if result { op } else { op.inverse() },
                         b,
@@ -428,7 +430,7 @@ impl<'a> Tl2Tx<'a> {
     /// of entries whose orecs moved past `start_version`; waits out locks
     /// held by other committers (with the starvation timeout).
     fn validate_compare_set(&self) -> Result<(), Abort> {
-        for e in &self.compares {
+        for e in &self.bufs.compares {
             let (a0, a1) = e.addrs();
             let mut changed = false;
             for addr in std::iter::once(a0).chain(a1) {
@@ -454,7 +456,7 @@ impl<'a> Tl2Tx<'a> {
     /// on any moved orec. Self-locked orecs are checked against their
     /// pre-lock version.
     fn validate_read_set(&self) -> Result<(), Abort> {
-        for &oi in &self.reads {
+        for &oi in &self.bufs.orec_reads {
             let o = self.global.orecs.load(oi);
             if o.locked_by_other(self.owner) {
                 // Only the orec is known here: Algorithm 7 line 48 keeps
@@ -463,7 +465,8 @@ impl<'a> Tl2Tx<'a> {
             }
             let version = if o.is_locked() {
                 // Locked by us at commit: consult the pre-lock word.
-                self.locked
+                self.bufs
+                    .locked
                     .iter()
                     .find(|(i, _)| *i == oi)
                     .map(|(_, old)| old.version())
@@ -481,14 +484,18 @@ impl<'a> Tl2Tx<'a> {
     /// Acquire commit locks for every distinct write-set orec, in index
     /// order (bounded spin per orec; failure rolls everything back).
     fn acquire_write_locks(&mut self) -> Result<(), Abort> {
-        let mut targets: Vec<usize> = self
-            .writes
-            .iter()
-            .map(|(addr, _)| self.global.orecs.index_of(addr.index()))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        for oi in targets {
+        let orecs = &self.global.orecs;
+        let bufs = &mut self.bufs;
+        bufs.targets.clear();
+        bufs.targets.extend(
+            bufs.writes
+                .iter()
+                .map(|(addr, _)| orecs.index_of(addr.index())),
+        );
+        bufs.targets.sort_unstable();
+        bufs.targets.dedup();
+        for k in 0..self.bufs.targets.len() {
+            let oi = self.bufs.targets[k];
             let mut acquired = false;
             let mut wait = SpinWait::new();
             let mut holder = 0;
@@ -503,7 +510,7 @@ impl<'a> Tl2Tx<'a> {
                     continue;
                 }
                 if self.global.orecs.try_lock(oi, o, self.owner) {
-                    self.locked.push((oi, o));
+                    self.bufs.locked.push((oi, o));
                     acquired = true;
                     break;
                 }
@@ -518,14 +525,14 @@ impl<'a> Tl2Tx<'a> {
 
     /// Roll back: restore every locked orec to its pre-lock word.
     fn release_locks_rollback(&mut self) {
-        for (oi, old) in self.locked.drain(..) {
+        for (oi, old) in self.bufs.locked.drain(..) {
             self.global.orecs.store(oi, old);
         }
     }
 
     /// Release after successful write-back, stamping the commit version.
     fn release_locks_committed(&mut self, new_version: u64) {
-        for (oi, _) in self.locked.drain(..) {
+        for (oi, _) in self.bufs.locked.drain(..) {
             self.global.orecs.store(oi, OrecWord::unlocked(new_version));
         }
     }
@@ -535,7 +542,7 @@ impl<'a> Tl2Tx<'a> {
     /// against `start_version` when recorded, so the transaction
     /// serialises at its (possibly extended) snapshot.
     pub(crate) fn commit(&mut self) -> Result<(), Abort> {
-        if self.writes.is_empty() {
+        if self.bufs.writes.is_empty() {
             return Ok(());
         }
         self.phases.mark_lock();
@@ -574,13 +581,10 @@ impl<'a> Tl2Tx<'a> {
         // clock is harmless without a stamped orec (other transactions
         // at worst revalidate spuriously).
         let ticket = if let Some(log) = self.wal {
-            let resolved: Vec<(Addr, i64)> = self
-                .writes
-                .iter()
-                .map(|(addr, e)| (addr, self.resolve(addr, &e)))
-                .collect();
+            let bufs = &mut self.bufs;
+            bufs.writes.resolve_into(self.heap, &mut bufs.resolved);
             sched::point(sched::PointKind::WalAppend);
-            match log.append(&resolved) {
+            match log.append(&bufs.resolved) {
                 Ok(t) => Some(t),
                 Err(_) => {
                     self.release_locks_rollback();
@@ -595,9 +599,8 @@ impl<'a> Tl2Tx<'a> {
         // the write-back is one atomic step of the virtual schedule.
         sched::point(sched::PointKind::Tl2Writeback);
         self.phases.mark_writeback();
-        for (addr, e) in self.writes.iter() {
-            let v = self.resolve(addr, &e);
-            self.heap.tm_store(addr, v);
+        for (addr, e) in self.bufs.writes.iter() {
+            self.heap.tm_store(addr, e.resolve(self.heap, addr));
         }
         if self.record_committer {
             // Still under our commit locks: a reader whose validation
@@ -618,17 +621,6 @@ impl<'a> Tl2Tx<'a> {
         Ok(())
     }
 
-    /// The absolute value a write entry stores (increments materialised
-    /// against live memory; valid only under the commit locks, after
-    /// validation).
-    #[inline]
-    fn resolve(&self, addr: Addr, e: &WriteEntry) -> i64 {
-        match e.kind {
-            WriteKind::Store => e.value,
-            WriteKind::Increment => self.heap.tm_load(addr).wrapping_add(e.value),
-        }
-    }
-
     /// Abort cleanup (no locks are held outside `commit`, which already
     /// rolls back on failure; this is a safety net for the runner).
     pub(crate) fn on_abort(&mut self) {
@@ -637,17 +629,17 @@ impl<'a> Tl2Tx<'a> {
 
     /// Diagnostics: compare-set size.
     pub(crate) fn compare_set_len(&self) -> usize {
-        self.compares.len()
+        self.bufs.compares.len()
     }
 
     /// Diagnostics: read-set size.
     pub(crate) fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.bufs.orec_reads.len()
     }
 
     /// Number of write-set entries (flight-recorder spans).
     pub(crate) fn write_set_len(&self) -> usize {
-        self.writes.len()
+        self.bufs.writes.len()
     }
 
     /// Diagnostics: current start version (observes snapshot extension).
@@ -658,7 +650,7 @@ impl<'a> Tl2Tx<'a> {
 
     /// Whether the transaction has buffered writes.
     pub(crate) fn is_writer(&self) -> bool {
-        !self.writes.is_empty()
+        !self.bufs.writes.is_empty()
     }
 }
 
@@ -671,7 +663,7 @@ mod tests {
     }
 
     fn tx<'a>(heap: &'a Heap, global: &'a Tl2Global) -> Tl2Tx<'a> {
-        let mut t = Tl2Tx::new(heap, global, 64, true);
+        let mut t = Tl2Tx::new(heap, global, 64, true, TxBuffers::default());
         t.begin();
         t
     }
@@ -727,7 +719,7 @@ mod tests {
         let x = heap.alloc(1);
         heap.store(x, 5);
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 64, false);
+        let mut t1 = Tl2Tx::new(&heap, &global, 64, false, TxBuffers::default());
         t1.begin();
         commit_write(&heap, &global, x, 7);
         assert_eq!(t1.cmp(x, CmpOp::Gt, 0, &mut ops), Err(Abort::validation()));
@@ -830,7 +822,7 @@ mod tests {
         let pre = global.orecs.load(oi);
         assert!(global.orecs.try_lock(oi, pre, 999)); // stuck foreign lock
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 16, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, 16, true, TxBuffers::default());
         t1.begin();
         assert_eq!(t1.cmp(x, CmpOp::Gt, 0, &mut ops), Err(Abort::timeout()));
         global.orecs.store(oi, pre);
@@ -877,12 +869,12 @@ mod tests {
         let a = heap.alloc(1);
         let out = heap.alloc(1);
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 64, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, 64, true, TxBuffers::default());
         t1.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
         t1.begin();
         let _ = t1.read(a, &mut ops).unwrap();
         // Concurrent commit with the recorder on stamps the committer.
-        let mut t2 = Tl2Tx::new(&heap, &global, 64, true);
+        let mut t2 = Tl2Tx::new(&heap, &global, 64, true, TxBuffers::default());
         t2.enable_spans(PhaseRecorder::enabled(std::time::Instant::now()));
         t2.begin();
         t2.write(a, 3);
@@ -905,7 +897,7 @@ mod tests {
         let pre = global.orecs.load(oi);
         assert!(global.orecs.try_lock(oi, pre, 999)); // stuck foreign lock
         let mut ops = OpCounts::default();
-        let mut t1 = Tl2Tx::new(&heap, &global, 16, true);
+        let mut t1 = Tl2Tx::new(&heap, &global, 16, true, TxBuffers::default());
         t1.begin();
         let err = t1.cmp(x, CmpOp::Gt, 0, &mut ops).unwrap_err();
         assert_eq!(err, Abort::timeout());

@@ -92,6 +92,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 const RECORD_FIXED: usize = 8 + 4 + 4;
 /// Bytes per `(addr:u32, value:i64)` write entry.
 const ENTRY_BYTES: usize = 4 + 8;
+/// Largest drained batch buffer the log keeps for reuse; a bigger one
+/// (a burst under group commit) goes back to the allocator.
+const RETAINED_BATCH_BYTES: usize = 1 << 20;
 /// Sanity bound on entries per record — a `len` implying more than this
 /// is treated as corruption, not as a 48-GiB allocation request.
 const MAX_ENTRIES: usize = 1 << 24;
@@ -431,6 +434,10 @@ struct LogState {
     /// the engines' commit locks, so buffer order == sequence order ==
     /// conflict serialisation order.
     pending: Vec<u8>,
+    /// The previous batch's buffer, emptied: `flush_step` swaps it in as
+    /// the next `pending`, so steady-state appends and flushes reuse two
+    /// buffers instead of allocating one per batch.
+    spare: Vec<u8>,
     /// Last sequence number sitting in `pending` (0 when empty).
     pending_end_seq: u64,
     /// Next sequence number to assign (starts at 1).
@@ -477,12 +484,13 @@ impl LogShared {
         }
         let mut storage = self.storage.lock().unwrap();
         sched::point(sched::PointKind::WalFlush);
-        let (batch, end_seq) = {
+        let (mut batch, end_seq) = {
             let mut st = self.state.lock().unwrap();
             if st.pending.is_empty() {
                 return Ok(false);
             }
-            (std::mem::take(&mut st.pending), st.pending_end_seq)
+            let next = std::mem::take(&mut st.spare);
+            (std::mem::replace(&mut st.pending, next), st.pending_end_seq)
         };
         if let Err(e) = storage.append(&batch) {
             // The batch left the pending buffer and may be partially
@@ -496,8 +504,14 @@ impl LogShared {
         }
         self.durable_seq.fetch_max(end_seq, Ordering::SeqCst);
         drop(storage);
-        // Wake committers parked in `wait_durable`.
-        let _st = self.state.lock().unwrap();
+        // Hand the drained batch back as the next spare buffer (unless
+        // one huge batch grew it past the retention bound), and wake
+        // committers parked in `wait_durable`.
+        let mut st = self.state.lock().unwrap();
+        if batch.capacity() <= RETAINED_BATCH_BYTES {
+            batch.clear();
+            st.spare = batch;
+        }
         self.cv.notify_all();
         Ok(true)
     }
@@ -518,6 +532,7 @@ impl CommitLog {
         let shared = Arc::new(LogShared {
             state: Mutex::new(LogState {
                 pending: Vec::new(),
+                spare: Vec::new(),
                 pending_end_seq: 0,
                 next_seq: 1,
                 poison: None,

@@ -23,6 +23,7 @@
 use crate::ir::{BlockId, Function, Inst, Operand};
 use crate::lower::{LoweredFunction, Op};
 use semtm_core::{Abort, Addr, Stm, Tx};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why execution failed.
@@ -111,8 +112,8 @@ impl<'a> Interp<'a> {
     /// Run `func` with `args`; returns the `ret` value.
     pub fn execute(&self, func: &Function, args: &[i64]) -> Result<Option<i64>, ExecError> {
         assert_eq!(args.len(), func.num_args as usize, "arity mismatch");
-        let mut regs = vec![0i64; func.num_regs as usize];
-        regs[..args.len()].copy_from_slice(args);
+        let mut scratch = Registers::new(func.num_regs as usize, args);
+        let (regs, entry_regs) = scratch.split();
         let mut steps = 0u64;
         let mut block: BlockId = 0;
         let mut idx = 0usize;
@@ -128,9 +129,9 @@ impl<'a> Interp<'a> {
             if matches!(inst, Inst::TmBegin) {
                 // Execute the region atomically; the body re-runs from
                 // here on every retry with the captured registers.
-                let entry_regs = regs.clone();
+                entry_regs.copy_from_slice(regs);
                 let entry = (block, idx + 1);
-                let mut steps_in_region = 0u64;
+                let mut meter = RegionMeter::default();
                 // Retry loop with contention-manager backoff. Region-level
                 // execution errors (step budget, structural problems) must
                 // NOT commit partial effects, so they abort the attempt and
@@ -140,19 +141,11 @@ impl<'a> Interp<'a> {
                 let mut attempt = 0u32;
                 let (b, i) = loop {
                     let mut exec_err: Option<ExecError> = None;
-                    let mut r = entry_regs.clone();
                     let out = self.stm.try_atomic(|tx| {
                         self.counters
                             .region_attempts
                             .fetch_add(1, Ordering::Relaxed);
-                        match self.run_region(
-                            func,
-                            tx,
-                            &mut r,
-                            entry.0,
-                            entry.1,
-                            &mut steps_in_region,
-                        )? {
+                        match self.run_region(func, tx, regs, entry.0, entry.1, &mut meter)? {
                             RegionExit::At(b, i) => Ok((b, i)),
                             RegionExit::Error(e) => {
                                 exec_err = Some(e);
@@ -160,15 +153,14 @@ impl<'a> Interp<'a> {
                             }
                         }
                     });
+                    meter.flush_calls(&self.counters);
                     match out {
-                        Ok(pos) => {
-                            regs = r;
-                            break pos;
-                        }
+                        Ok(pos) => break pos,
                         Err(_) => {
                             if let Some(e) = exec_err {
                                 return Err(e);
                             }
+                            regs.copy_from_slice(entry_regs);
                             backoff.pause(attempt);
                             // Under the deterministic scheduler a retry is a
                             // futile wait (the rival must run for it to fare
@@ -178,7 +170,7 @@ impl<'a> Interp<'a> {
                         }
                     }
                 };
-                steps += steps_in_region;
+                steps += meter.steps;
                 if steps > self.step_limit {
                     return Err(ExecError::StepLimit);
                 }
@@ -186,7 +178,7 @@ impl<'a> Interp<'a> {
                 idx = i;
                 continue;
             }
-            match self.step_nontx(inst, &mut regs)? {
+            match self.step_nontx(inst, regs)? {
                 Flow::Continue => idx += 1,
                 Flow::Jump(b) => {
                     block = b;
@@ -207,15 +199,15 @@ impl<'a> Interp<'a> {
         regs: &mut [i64],
         mut block: BlockId,
         mut idx: usize,
-        steps: &mut u64,
+        meter: &mut RegionMeter,
     ) -> Result<RegionExit, Abort> {
         let mut depth = 1u32;
         loop {
             if idx >= func.blocks[block].insts.len() {
                 return Ok(RegionExit::Error(ExecError::FellThrough));
             }
-            *steps += 1;
-            if *steps > self.step_limit {
+            meter.steps += 1;
+            if meter.steps > self.step_limit {
                 return Ok(RegionExit::Error(ExecError::StepLimit));
             }
             let inst = &func.blocks[block].insts[idx];
@@ -236,7 +228,7 @@ impl<'a> Interp<'a> {
                 }
                 _ => {}
             }
-            match self.step_tx(inst, regs, tx)? {
+            match self.step_tx(inst, regs, tx, &mut meter.tm_calls)? {
                 Flow::Continue => idx += 1,
                 Flow::Jump(b) => {
                     block = b;
@@ -337,12 +329,18 @@ impl<'a> Interp<'a> {
     }
 
     /// Transactional step: one TM-runtime dispatch per barrier.
-    fn step_tx(&self, inst: &Inst, regs: &mut [i64], tx: &mut Tx<'_>) -> Result<Flow, Abort> {
+    fn step_tx(
+        &self,
+        inst: &Inst,
+        regs: &mut [i64],
+        tx: &mut Tx<'_>,
+        tm_calls: &mut u64,
+    ) -> Result<Flow, Abort> {
         if let Some(flow) = Self::step_common(inst, regs) {
             return Ok(flow);
         }
         let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
-        self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
+        *tm_calls += 1;
         let bad = |_v: i64| Abort::explicit(); // negative address: treated as a failed attempt
         match *inst {
             Inst::TmLoad { dst, addr } => {
@@ -401,6 +399,68 @@ impl<'a> Interp<'a> {
     }
 }
 
+thread_local! {
+    /// Register scratch recycled across the calls of one thread (see
+    /// [`Registers`]).
+    static REG_SCRATCH: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Most registers' worth of scratch a thread keeps between calls; a
+/// larger file goes back to the allocator when its call returns.
+const RETAINED_REGS: usize = 4096;
+
+/// One call's register file followed by the copy captured at `tmbegin`,
+/// on the thread's recycled scratch (given back on drop). A call made
+/// while another is live on the thread finds the scratch taken and
+/// allocates its own.
+struct Registers {
+    buf: Vec<i64>,
+    num_regs: usize,
+}
+
+impl Registers {
+    fn new(num_regs: usize, args: &[i64]) -> Registers {
+        let mut buf = REG_SCRATCH.try_with(Cell::take).unwrap_or_default();
+        buf.clear();
+        buf.resize(2 * num_regs, 0);
+        buf[..args.len()].copy_from_slice(args);
+        Registers { buf, num_regs }
+    }
+
+    /// The live registers and the region-entry copy.
+    fn split(&mut self) -> (&mut [i64], &mut [i64]) {
+        self.buf.split_at_mut(self.num_regs)
+    }
+}
+
+impl Drop for Registers {
+    fn drop(&mut self) {
+        if self.buf.capacity() <= RETAINED_REGS {
+            let buf = std::mem::take(&mut self.buf);
+            // Fails only while the thread is being torn down.
+            let _ = REG_SCRATCH.try_with(|slot| slot.set(buf));
+        }
+    }
+}
+
+/// Work inside one atomic region: instructions stepped over all its
+/// attempts (charged to the call's step budget) and the barrier calls of
+/// the current attempt, counted locally and flushed into
+/// [`DispatchCounters`] once per attempt.
+#[derive(Default)]
+struct RegionMeter {
+    steps: u64,
+    tm_calls: u64,
+}
+
+impl RegionMeter {
+    fn flush_calls(&mut self, counters: &DispatchCounters) {
+        counters
+            .tm_calls
+            .fetch_add(std::mem::take(&mut self.tm_calls), Ordering::Relaxed);
+    }
+}
+
 enum RegionExit {
     At(BlockId, usize),
     Error(ExecError),
@@ -430,8 +490,8 @@ impl<'a> Interp<'a> {
         args: &[i64],
     ) -> Result<Option<i64>, ExecError> {
         assert_eq!(args.len(), func.num_args as usize, "arity mismatch");
-        let mut regs = vec![0i64; func.num_regs as usize];
-        regs[..args.len()].copy_from_slice(args);
+        let mut scratch = Registers::new(func.num_regs as usize, args);
+        let (regs, entry_regs) = scratch.split();
         let mut steps = 0u64;
         let mut pc = 0usize;
         let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
@@ -447,26 +507,19 @@ impl<'a> Interp<'a> {
                 // Same retry protocol as `execute`: the region re-runs
                 // from its entry pc with the registers captured at
                 // `tmbegin`, under contention-manager backoff.
-                let entry_regs = regs.clone();
+                entry_regs.copy_from_slice(regs);
                 let entry_pc = pc + 1;
-                let mut steps_in_region = 0u64;
+                let mut meter = RegionMeter::default();
                 let mut backoff =
                     semtm_core::util::Backoff::new(semtm_core::util::thread_token(), 16, 4096);
                 let mut attempt = 0u32;
                 let next_pc = loop {
                     let mut exec_err: Option<ExecError> = None;
-                    let mut r = entry_regs.clone();
                     let out = self.stm.try_atomic(|tx| {
                         self.counters
                             .region_attempts
                             .fetch_add(1, Ordering::Relaxed);
-                        match self.run_region_lowered(
-                            func,
-                            tx,
-                            &mut r,
-                            entry_pc,
-                            &mut steps_in_region,
-                        )? {
+                        match self.run_region_lowered(func, tx, regs, entry_pc, &mut meter)? {
                             LoweredExit::At(p) => Ok(p),
                             LoweredExit::Error(e) => {
                                 exec_err = Some(e);
@@ -474,22 +527,21 @@ impl<'a> Interp<'a> {
                             }
                         }
                     });
+                    meter.flush_calls(&self.counters);
                     match out {
-                        Ok(p) => {
-                            regs = r;
-                            break p;
-                        }
+                        Ok(p) => break p,
                         Err(_) => {
                             if let Some(e) = exec_err {
                                 return Err(e);
                             }
+                            regs.copy_from_slice(entry_regs);
                             backoff.pause(attempt);
                             semtm_core::sched::spin();
                             attempt = attempt.saturating_add(1);
                         }
                     }
                 };
-                steps += steps_in_region;
+                steps += meter.steps;
                 if steps > self.step_limit {
                     return Err(ExecError::StepLimit);
                 }
@@ -497,20 +549,20 @@ impl<'a> Interp<'a> {
                 continue;
             }
             match *op {
-                Op::Mov { dst, src } => regs[dst as usize] = val(src, &regs),
+                Op::Mov { dst, src } => regs[dst as usize] = val(src, regs),
                 Op::Bin { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(val(a, &regs), val(b, &regs));
+                    regs[dst as usize] = op.eval(val(a, regs), val(b, regs));
                 }
                 Op::Cmp { op, dst, a, b } => {
-                    regs[dst as usize] = op.eval(val(a, &regs), val(b, &regs)) as i64;
+                    regs[dst as usize] = op.eval(val(a, regs), val(b, regs)) as i64;
                 }
-                Op::Not { dst, src } => regs[dst as usize] = (val(src, &regs) == 0) as i64,
+                Op::Not { dst, src } => regs[dst as usize] = (val(src, regs) == 0) as i64,
                 Op::TmLoad { dst, addr } => {
-                    regs[dst as usize] = self.stm.read_now(Self::addr(val(addr, &regs))?);
+                    regs[dst as usize] = self.stm.read_now(Self::addr(val(addr, regs))?);
                 }
                 Op::TmStore { addr, val: v } => {
                     self.stm
-                        .write_now(Self::addr(val(addr, &regs))?, val(v, &regs));
+                        .write_now(Self::addr(val(addr, regs))?, val(v, regs));
                 }
                 Op::TmCmpVal {
                     op,
@@ -518,12 +570,12 @@ impl<'a> Interp<'a> {
                     addr,
                     val: v,
                 } => {
-                    let lhs = self.stm.read_now(Self::addr(val(addr, &regs))?);
-                    regs[dst as usize] = op.eval(lhs, val(v, &regs)) as i64;
+                    let lhs = self.stm.read_now(Self::addr(val(addr, regs))?);
+                    regs[dst as usize] = op.eval(lhs, val(v, regs)) as i64;
                 }
                 Op::TmCmpAddr { op, dst, a, b } => {
-                    let lhs = self.stm.read_now(Self::addr(val(a, &regs))?);
-                    let rhs = self.stm.read_now(Self::addr(val(b, &regs))?);
+                    let lhs = self.stm.read_now(Self::addr(val(a, regs))?);
+                    let rhs = self.stm.read_now(Self::addr(val(b, regs))?);
                     regs[dst as usize] = op.eval(lhs, rhs) as i64;
                 }
                 Op::TmInc {
@@ -531,8 +583,8 @@ impl<'a> Interp<'a> {
                     delta,
                     negate,
                 } => {
-                    let a = Self::addr(val(addr, &regs))?;
-                    let d = val(delta, &regs);
+                    let a = Self::addr(val(addr, regs))?;
+                    let d = val(delta, regs);
                     let d = if negate { -d } else { d };
                     self.stm.write_now(a, self.stm.read_now(a).wrapping_add(d));
                 }
@@ -545,14 +597,14 @@ impl<'a> Interp<'a> {
                     then_pc,
                     else_pc,
                 } => {
-                    pc = if val(cond, &regs) != 0 {
+                    pc = if val(cond, regs) != 0 {
                         then_pc
                     } else {
                         else_pc
                     };
                     continue;
                 }
-                Op::Ret { val: v } => return Ok(v.map(|o| val(o, &regs))),
+                Op::Ret { val: v } => return Ok(v.map(|o| val(o, regs))),
                 Op::TmEnd => return Err(ExecError::UnbalancedEnd),
                 Op::TmBegin => unreachable!("handled above"),
             }
@@ -568,7 +620,7 @@ impl<'a> Interp<'a> {
         tx: &mut Tx<'_>,
         regs: &mut [i64],
         mut pc: usize,
-        steps: &mut u64,
+        meter: &mut RegionMeter,
     ) -> Result<LoweredExit, Abort> {
         let mut depth = 1u32;
         let val = |o: Operand, regs: &[i64]| Self::operand(regs, o);
@@ -585,8 +637,8 @@ impl<'a> Interp<'a> {
             let Some(op) = func.ops.get(pc) else {
                 return Ok(LoweredExit::Error(ExecError::FellThrough));
             };
-            *steps += 1;
-            if *steps > self.step_limit {
+            meter.steps += 1;
+            if meter.steps > self.step_limit {
                 return Ok(LoweredExit::Error(ExecError::StepLimit));
             }
             match *op {
@@ -609,11 +661,11 @@ impl<'a> Interp<'a> {
                 }
                 Op::Not { dst, src } => regs[dst as usize] = (val(src, regs) == 0) as i64,
                 Op::TmLoad { dst, addr } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
+                    meter.tm_calls += 1;
                     regs[dst as usize] = tx.read(addr_of(val(addr, regs))?)?;
                 }
                 Op::TmStore { addr, val: v } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
+                    meter.tm_calls += 1;
                     tx.write(addr_of(val(addr, regs))?, val(v, regs))?;
                 }
                 Op::TmCmpVal {
@@ -622,12 +674,12 @@ impl<'a> Interp<'a> {
                     addr,
                     val: v,
                 } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
+                    meter.tm_calls += 1;
                     regs[dst as usize] =
                         tx.cmp(addr_of(val(addr, regs))?, op, val(v, regs))? as i64;
                 }
                 Op::TmCmpAddr { op, dst, a, b } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
+                    meter.tm_calls += 1;
                     regs[dst as usize] =
                         tx.cmp_addr(addr_of(val(a, regs))?, op, addr_of(val(b, regs))?)? as i64;
                 }
@@ -636,7 +688,7 @@ impl<'a> Interp<'a> {
                     delta,
                     negate,
                 } => {
-                    self.counters.tm_calls.fetch_add(1, Ordering::Relaxed);
+                    meter.tm_calls += 1;
                     let d = val(delta, regs);
                     tx.inc(addr_of(val(addr, regs))?, if negate { -d } else { d })?;
                 }
@@ -811,6 +863,48 @@ mod tests {
         let s = stm(Algorithm::NOrec);
         let interp = Interp::new(&s);
         assert_eq!(interp.execute(&f, &[]), Err(ExecError::UnbalancedEnd));
+    }
+
+    #[test]
+    fn spans_level_records_one_span_per_region_attempt() {
+        // Regions run through `Stm::try_atomic`, which must feed the
+        // flight recorder and the histograms like `Stm::atomic` does.
+        let f = inc_if_positive();
+        let lowered = crate::lower::lower(&f).unwrap();
+        for tree in [true, false] {
+            let stm = Stm::new(
+                StmConfig::new(Algorithm::SNOrec)
+                    .heap_words(64)
+                    .telemetry(semtm_core::TelemetryLevel::Spans),
+            );
+            let x = stm.alloc_cell(1i64);
+            let args = [x.index() as i64];
+            let attempts: u64 = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let interp = Interp::new(&stm);
+                            for _ in 0..50 {
+                                if tree {
+                                    interp.execute(&f, &args).unwrap();
+                                } else {
+                                    interp.execute_lowered(&lowered, &args).unwrap();
+                                }
+                            }
+                            interp.counters.region_attempts()
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            let spans = stm.telemetry().span_events();
+            assert_eq!(stm.telemetry().spans_evicted(), 0);
+            assert_eq!(spans.len() as u64, attempts, "tree={tree}");
+            assert_eq!(stm.stats().attempts(), attempts, "tree={tree}");
+            assert_eq!(spans.iter().filter(|e| e.committed()).count(), 100);
+            assert_eq!(stm.telemetry().commit_latency_ns().count(), 100);
+            assert_eq!(stm.read_now(x), 101);
+        }
     }
 
     #[test]
