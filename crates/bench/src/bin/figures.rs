@@ -32,7 +32,6 @@ const EXPERIMENTS: &[&str] = &[
     "ablation-snorec",
     "ablation-cm",
     "ablation-ring",
-    "ablation-layout",
     "ablation-durability",
     "ablation-adaptive",
     "bench-snapshot",
@@ -207,14 +206,6 @@ fn main() {
             &[("S-NOrec", "S-NOrec/ring-filters")],
         );
     }
-    if pick("ablation-layout") {
-        emit(
-            "ablation_layout",
-            "Ablation A5 — memory layout x commit clock (Bank + Hashtable, S-NOrec)",
-            exp::ablation_layout_clock(&sweep),
-            &[("S-NOrec/global+flat", "S-NOrec/sharded+padded")],
-        );
-    }
     if pick("ablation-durability") {
         emit(
             "ablation_durability",
@@ -229,11 +220,7 @@ fn main() {
             "Ablation A7 — adaptive engine switching across phase shifts \
              (Bank -> hot Hashtable -> Scan)",
             exp::ablation_adaptive(&sweep),
-            &[
-                ("S-NOrec", "adaptive"),
-                ("S-NOrec/sharded", "adaptive"),
-                ("S-TL2", "adaptive"),
-            ],
+            &[("S-NOrec", "adaptive"), ("S-TL2", "adaptive")],
         );
     }
     if pick("bench-snapshot") {

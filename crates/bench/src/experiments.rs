@@ -443,96 +443,6 @@ pub fn ablation_cm_policy(sweep: &Sweep) -> Vec<FigureRow> {
     rows
 }
 
-/// Ablation A5: memory layout × commit clock on S-NOrec, over Bank and
-/// Hashtable — the four cells {global, 16-shard clock} × {flat
-/// contiguous arrays, line-striped padded arrays}.
-///
-/// The headline cell is sharded+padded: striping puts each account/cell
-/// on its own cache line and therefore its own clock shard, so a
-/// committing writer bumps only the shards it wrote and concurrent
-/// readers revalidate only the read-set entries on shards that moved,
-/// instead of the whole read-set on every tick of one global sequence
-/// lock. sharded+flat is the control showing that the clock alone can't
-/// help while a contiguous layout collapses all traffic into shard 0;
-/// global+padded isolates the layout's cache effect.
-///
-/// The two benchmarks sit on opposite sides of the trade: the hashtable
-/// runs the contention_sweep regime (90% occupancy ⇒ long probe chains
-/// ⇒ large compare-sets, heavy mutation ⇒ a busy clock), where the
-/// sharded clock's partial revalidation wins; Bank's transactions write
-/// ~20 scattered accounts but compare only ~10, so the per-shard
-/// acquisition cost has almost no validation savings to pay for it —
-/// the CSV records that cost honestly.
-pub fn ablation_layout_clock(sweep: &Sweep) -> Vec<FigureRow> {
-    const SHARDS: usize = 16;
-    const LINE_WORDS: usize = semtm_core::heap::LINE_WORDS;
-    let variants: [(&str, usize, bool); 4] = [
-        ("global+flat", 1, false),
-        ("global+padded", 1, true),
-        ("sharded+flat", SHARDS, false),
-        ("sharded+padded", SHARDS, true),
-    ];
-    let bank_cfg = bank::BankConfig {
-        accounts: sweep.pick(32, 64),
-        ..bank::BankConfig::default()
-    };
-    let ht_cap = sweep.pick(1 << 9, 1 << 10);
-    let ht_cfg = hashtable::HashtableConfig {
-        capacity: ht_cap,
-        fill_pct: 45,
-        tombstone_pct: 45,
-        get_pct: 60,
-        key_space: (ht_cap as u64) * 4,
-        ..hashtable::HashtableConfig::default()
-    };
-    let mut rows = Vec::new();
-    for (label, shards, padded) in variants {
-        let stm_with = |heap_words: usize| {
-            Stm::new(
-                StmConfig::new(Algorithm::SNOrec)
-                    .heap_words(heap_words)
-                    .orec_count(1 << 14)
-                    .clock_shards(shards),
-            )
-        };
-        for &t in &sweep.threads {
-            let stm = stm_with(bank_cfg.accounts * LINE_WORDS + 4 * LINE_WORDS);
-            let cfg = bank::BankConfig { padded, ..bank_cfg };
-            let r = bank::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A5",
-                benchmark: "bank",
-                algorithm: format!("S-NOrec/{label}"),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
-        }
-        for &t in &sweep.threads {
-            // Striping costs LINE_WORDS× per array; size the heap for
-            // the padded cells so all four share one capacity.
-            let stm = stm_with(ht_cap * LINE_WORDS * 2 + 4 * LINE_WORDS);
-            let cfg = hashtable::HashtableConfig { padded, ..ht_cfg };
-            let r = hashtable::run(&stm, cfg, t, sweep.duration, sweep.seed);
-            rows.push(FigureRow {
-                figure: "A5",
-                benchmark: "hashtable",
-                algorithm: format!("S-NOrec/{label}"),
-                threads: r.threads,
-                metric: "throughput_ktps",
-                value: r.throughput_ktps(),
-                abort_pct: r.abort_pct(),
-                commits: r.stats.commits,
-                aborts: r.stats.conflict_aborts(),
-            });
-        }
-    }
-    rows
-}
-
 /// Ablation A6 (DESIGN.md §9): what durability costs. Bank throughput
 /// under three configurations of the same engine — no WAL at all,
 /// WAL with a synchronous fsync per commit, and WAL with the
@@ -644,30 +554,27 @@ fn a7_policy(sweep: &Sweep) -> AdaptPolicy {
 /// back-to-back phases on the *same* transactional heap —
 ///
 /// 1. **Bank** — small read/compare-sets, ~20-entry write-sets: the
-///    global-clock S-NOrec regime (A5 showed the sharded clock's
-///    commit tax has nothing to amortise against here);
+///    S-NOrec regime (one clock, no per-orec commit locking);
 /// 2. **hot Hashtable** — the contention_sweep regime (90% occupancy,
 ///    long probe chains, heavy mutation): large compare-sets and a busy
-///    clock, where partial revalidation or per-orec validation wins;
-/// 3. **Scan** — 64-cell read windows with a 1–2 word write-set: a
-///    global clock forces whole-window revalidation on every commit,
-///    the sharded clock localises it to the shards that moved.
+///    clock, where S-NOrec's whole-set revalidation is the cost model's
+///    worst case;
+/// 3. **Scan** — 64-cell read windows with a 1–2 word write-set: the
+///    single clock forces whole-window revalidation on every commit,
+///    where S-TL2 validates per orec.
 ///
-/// Each fixed engine (global S-NOrec, sharded S-NOrec, S-TL2) runs the
-/// gauntlet pinned; the `adaptive` runtime starts wherever
-/// [`semtm_core::Mode::initial`] puts it and lets [`Stm::adapt_tick`] —
+/// Each fixed engine (S-NOrec, S-TL2) runs the gauntlet pinned; the
+/// `adaptive` runtime starts on S-NOrec and lets [`Stm::adapt_tick`] —
 /// driven by a
 /// harness ticker thread, exactly as an embedding application would —
 /// re-pick the engine from live telemetry as the phases shift. Rows
 /// report per-phase and whole-gauntlet throughput, plus the adaptive
 /// run's switch count and mean hot-swap latency.
 pub fn ablation_adaptive(sweep: &Sweep) -> Vec<FigureRow> {
-    const SHARDS: usize = 16;
     let threads = sweep.threads.iter().copied().max().unwrap_or(1);
     let tick = sweep.pick(Duration::from_millis(2), Duration::from_millis(8));
     let bank_cfg = bank::BankConfig {
         accounts: sweep.pick(32, 64),
-        padded: true,
         ..bank::BankConfig::default()
     };
     let ht_cap = sweep.pick(1 << 9, 1 << 10);
@@ -678,33 +585,23 @@ pub fn ablation_adaptive(sweep: &Sweep) -> Vec<FigureRow> {
         ops_per_tx: 10,
         get_pct: 60,
         key_space: (ht_cap as u64) * 4,
-        padded: true,
+        padded: false,
     };
     let scan_cfg = scan::ScanConfig {
         cells: sweep.pick(128, 256),
         reads_per_tx: sweep.pick(32, 64),
-        padded: true,
         ..scan::ScanConfig::default()
     };
 
-    let engines: [(&str, usize, Option<AdaptPolicy>); 4] = [
-        ("S-NOrec", 1, None),
-        ("S-NOrec/sharded", SHARDS, None),
-        ("S-TL2", 1, None),
-        ("adaptive", SHARDS, Some(a7_policy(sweep))),
+    let engines: [(&str, Algorithm, Option<AdaptPolicy>); 3] = [
+        ("S-NOrec", Algorithm::SNOrec, None),
+        ("S-TL2", Algorithm::STl2, None),
+        ("adaptive", Algorithm::SNOrec, Some(a7_policy(sweep))),
     ];
 
     let mut rows = Vec::new();
-    for (label, shards, policy) in engines {
-        let alg = if label == "S-TL2" {
-            Algorithm::STl2
-        } else {
-            Algorithm::SNOrec
-        };
-        let mut cfg = StmConfig::new(alg)
-            .heap_words(1 << 16)
-            .orec_count(1 << 14)
-            .clock_shards(shards);
+    for (label, alg, policy) in engines {
+        let mut cfg = StmConfig::new(alg).heap_words(1 << 16).orec_count(1 << 14);
         if let Some(p) = policy {
             cfg = cfg.adaptive(p);
         }
@@ -997,30 +894,9 @@ mod tests {
     }
 
     #[test]
-    fn layout_clock_ablation_covers_all_cells() {
-        let rows = ablation_layout_clock(&tiny());
-        // 4 variants × 1 thread count × 2 benchmarks.
-        assert_eq!(rows.len(), 8);
-        for label in [
-            "S-NOrec/global+flat",
-            "S-NOrec/global+padded",
-            "S-NOrec/sharded+flat",
-            "S-NOrec/sharded+padded",
-        ] {
-            for bench in ["bank", "hashtable"] {
-                assert!(
-                    rows.iter()
-                        .any(|r| r.algorithm == label && r.benchmark == bench && r.commits > 0),
-                    "{label}/{bench} missing or empty"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn adaptive_ablation_covers_all_engines_and_phases() {
         let rows = ablation_adaptive(&tiny());
-        for engine in ["S-NOrec", "S-NOrec/sharded", "S-TL2", "adaptive"] {
+        for engine in ["S-NOrec", "S-TL2", "adaptive"] {
             for bench in ["bank", "hashtable-hot", "scan", "full"] {
                 assert!(
                     rows.iter().any(|r| r.algorithm == engine

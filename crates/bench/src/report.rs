@@ -408,7 +408,7 @@ pub fn markdown_table(title: &str, rows: &[FigureRow]) -> String {
         out.push_str("(no data)\n");
         return out;
     }
-    // Multi-benchmark row-sets (e.g. the A5 layout ablation) get an
+    // Multi-benchmark row-sets (e.g. the A7 phase gauntlet) get an
     // extra leading column; single-benchmark tables keep the old shape.
     let multi = rows.iter().any(|r| r.benchmark != rows[0].benchmark);
     if multi {
@@ -457,7 +457,7 @@ pub fn write_csv(name: &str, rows: &[FigureRow]) -> std::io::Result<std::path::P
 pub fn speedup_summary(rows: &[FigureRow], base: &str, semantic: &str) -> String {
     let mut out = String::new();
     let higher_is_better = rows.first().map(|r| r.metric) == Some("throughput_ktps");
-    // Experiments like the A5 layout ablation interleave several
+    // Experiments like the A7 phase gauntlet interleave several
     // benchmarks in one row-set; pairing must match on benchmark as
     // well as thread count or the digest compares apples to oranges.
     let multi = rows.iter().any(|r| r.benchmark != rows[0].benchmark);

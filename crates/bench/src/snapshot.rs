@@ -1,6 +1,6 @@
 //! Machine-readable per-PR performance snapshot (`results/BENCH_10.json`).
 //!
-//! One fixed grid — the three A7 benchmarks × the three fixed engines
+//! One fixed grid — the three A7 benchmarks × the two fixed engines
 //! plus the adaptive runtime — with throughput, p99 commit latency,
 //! abort rate, and commit counts per cell. The file is the CI artifact
 //! a regression tracker diffs across PRs, so its shape is pinned by
@@ -22,7 +22,7 @@ pub const SCHEMA: &str = "semtm-bench-snapshot/v1";
 /// One engine's measurements on one benchmark.
 #[derive(Clone, Debug)]
 pub struct EngineSample {
-    /// Engine label (`S-NOrec`, `S-NOrec/sharded`, `S-TL2`, `adaptive`).
+    /// Engine label (`S-NOrec`, `S-TL2`, `adaptive`).
     pub engine: String,
     /// Committed transactions per second, in thousands.
     pub throughput_ktps: f64,
@@ -57,19 +57,10 @@ pub struct BenchSnapshot {
     pub benchmarks: Vec<BenchmarkSnapshot>,
 }
 
-/// Number of clock shards the sharded/adaptive engines run with.
-const SHARDS: usize = 16;
-
-fn engine_stm(label: &str, alg: Algorithm, adaptive: Option<AdaptPolicy>) -> Stm {
-    let shards = if label == "S-NOrec" || label == "S-TL2" {
-        1
-    } else {
-        SHARDS
-    };
+fn engine_stm(alg: Algorithm, adaptive: Option<AdaptPolicy>) -> Stm {
     let mut cfg = StmConfig::new(alg)
         .heap_words(1 << 16)
         .orec_count(1 << 14)
-        .clock_shards(shards)
         .telemetry(TelemetryLevel::Histograms);
     if let Some(p) = adaptive {
         cfg = cfg.adaptive(p);
@@ -116,15 +107,13 @@ pub fn collect(sweep: &Sweep) -> BenchSnapshot {
         dwell_ticks: 2,
         ..AdaptPolicy::default()
     };
-    let engines: [(&str, Algorithm, Option<AdaptPolicy>); 4] = [
+    let engines: [(&str, Algorithm, Option<AdaptPolicy>); 3] = [
         ("S-NOrec", Algorithm::SNOrec, None),
-        ("S-NOrec/sharded", Algorithm::SNOrec, None),
         ("S-TL2", Algorithm::STl2, None),
         ("adaptive", Algorithm::SNOrec, Some(policy)),
     ];
     let bank_cfg = bank::BankConfig {
         accounts: sweep.pick(32, 64),
-        padded: true,
         ..bank::BankConfig::default()
     };
     let ht_cap = sweep.pick(1 << 9, 1 << 10);
@@ -135,12 +124,11 @@ pub fn collect(sweep: &Sweep) -> BenchSnapshot {
         ops_per_tx: 10,
         get_pct: 60,
         key_space: (ht_cap as u64) * 4,
-        padded: true,
+        padded: false,
     };
     let scan_cfg = scan::ScanConfig {
         cells: sweep.pick(128, 256),
         reads_per_tx: sweep.pick(32, 64),
-        padded: true,
         ..scan::ScanConfig::default()
     };
 
@@ -148,7 +136,7 @@ pub fn collect(sweep: &Sweep) -> BenchSnapshot {
     for bench in ["bank", "hashtable-hot", "scan"] {
         let mut samples = Vec::new();
         for (label, alg, adaptive) in &engines {
-            let stm = engine_stm(label, *alg, *adaptive);
+            let stm = engine_stm(*alg, *adaptive);
             let r = match bench {
                 "bank" => {
                     let state = bank::Bank::new(&stm, bank_cfg);
@@ -379,7 +367,7 @@ mod tests {
         let snap = collect(&tiny());
         assert_eq!(snap.benchmarks.len(), 3);
         for b in &snap.benchmarks {
-            assert_eq!(b.engines.len(), 4, "{}", b.benchmark);
+            assert_eq!(b.engines.len(), 3, "{}", b.benchmark);
             // Histograms tier is live: every cell has a real p99.
             for e in &b.engines {
                 assert!(e.commits > 0, "{}/{}", b.benchmark, e.engine);

@@ -73,9 +73,6 @@ impl CrashKernel {
 pub struct CrashConfig {
     /// The STM algorithm under test.
     pub algorithm: Algorithm,
-    /// Commit-clock shards (`> 1` selects the ScNorec engine for the
-    /// NOrec family).
-    pub clock_shards: usize,
     /// The workload kernel.
     pub kernel: CrashKernel,
     /// Concurrent committer vthreads (the flusher vthread is extra).
@@ -94,7 +91,6 @@ impl CrashConfig {
     pub fn new(algorithm: Algorithm, kernel: CrashKernel) -> CrashConfig {
         CrashConfig {
             algorithm,
-            clock_shards: 1,
             kernel,
             workers: 2,
             ops_per_worker: 3,
@@ -104,12 +100,9 @@ impl CrashConfig {
     }
 
     fn stm_config(&self) -> StmConfig {
-        let sharded = self.clock_shards > 1;
         let mut cfg = StmConfig::new(self.algorithm)
             .heap_words(1 << 11)
             .orec_count(16)
-            .clock_shards(self.clock_shards)
-            .padded_alloc(sharded)
             .durability(DurabilityMode::Manual);
         cfg.lock_wait_spins = 8;
         cfg.backoff_min_spins = 1;
@@ -203,7 +196,7 @@ enum Kernel {
 }
 
 impl Kernel {
-    fn bank_config(sharded: bool) -> BankConfig {
+    fn bank_config() -> BankConfig {
         BankConfig {
             accounts: 8,
             initial_balance: 50,
@@ -211,7 +204,7 @@ impl Kernel {
             max_amount: 20,
             audit_per_mille: 100,
             skew_accounts: 0,
-            padded: sharded,
+            padded: false,
         }
     }
 
@@ -221,9 +214,7 @@ impl Kernel {
     /// into a freshly re-set-up heap.
     fn setup(cfg: &CrashConfig, stm: &Stm) -> Kernel {
         match cfg.kernel {
-            CrashKernel::Bank => {
-                Kernel::Bank(Bank::new(stm, Kernel::bank_config(cfg.clock_shards > 1)))
-            }
+            CrashKernel::Bank => Kernel::Bank(Bank::new(stm, Kernel::bank_config())),
             CrashKernel::Slots => Kernel::Slots(Slots::new(stm)),
         }
     }

@@ -8,7 +8,7 @@
 //! non-serializable history and the checker reports it.
 
 use crate::checker::check_history;
-use crate::fuzz::{check_stm_traced, check_stm_traced_sharded};
+use crate::fuzz::check_stm_traced;
 use crate::history::{atomic_recorded, Recorder};
 use crate::schedule::Driver;
 use crate::tracedump::dump_note;
@@ -16,7 +16,7 @@ use crate::vthread::run_threads;
 use semtm_core::chrome::chrome_trace_json;
 use semtm_core::ops::CmpOp;
 use semtm_core::wal::{DurabilityMode, SimStorage};
-use semtm_core::{Algorithm, Mode, Stm, StmConfig};
+use semtm_core::{Algorithm, Stm, StmConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const STEP_CAP: usize = 20_000;
@@ -134,20 +134,7 @@ pub fn tl2_read_validation(driver: &mut dyn Driver) -> Result<(), String> {
 /// explains (`[T0,T1]` gives `y = 0` at T0's read; `[T1,T0]` makes the
 /// cmp false).
 pub fn adaptive_switch_drain(driver: &mut dyn Driver) -> Result<(), String> {
-    adaptive_switch_drain_sharded(driver, crate::fuzz::clock_shards())
-}
-
-/// [`adaptive_switch_drain`] with an explicit commit-clock shard count.
-///
-/// The faulted regression (`tests/fault_adapt.rs`) pins `shards = 1`:
-/// its documented violating schedule is a *global-clock* interleaving
-/// (step 3 relies on whole-read-set revalidation against the single
-/// NOrec sequence word), and the fault must reproduce it regardless of
-/// the `SEMTM_CLOCK_SHARDS` re-runs the suite is invoked under. The
-/// clean sweeps keep honoring the environment so the sharded drain
-/// path gets the same schedule coverage.
-pub fn adaptive_switch_drain_sharded(driver: &mut dyn Driver, shards: usize) -> Result<(), String> {
-    let stm = check_stm_traced_sharded(Algorithm::SNOrec, shards);
+    let stm = check_stm_traced(Algorithm::SNOrec);
     let x = stm.alloc_cell(5i64);
     let y = stm.alloc_cell(0i64);
     let z = stm.alloc_cell(0i64);
@@ -170,8 +157,7 @@ pub fn adaptive_switch_drain_sharded(driver: &mut dyn Driver, shards: usize) -> 
         });
     };
     let t2 = |_tid: usize, (stm, _rec): &Shared<'_>| {
-        stm.switch_to(Mode::new(Algorithm::STl2))
-            .expect("unsharded S-TL2 is always available");
+        stm.switch_to(Algorithm::STl2);
     };
     let o = run_threads(&shared, &[&t0, &t1, &t2], driver, STEP_CAP);
     if o.capped {
@@ -242,9 +228,7 @@ pub fn adaptive_switch_wal_flush(driver: &mut dyn Driver) -> Result<(), String> 
         while stm.read_now(x) == 0 {
             semtm_core::sched::spin();
         }
-        let report = stm
-            .switch_to(Mode::new(Algorithm::STl2))
-            .expect("unsharded S-TL2 is always available");
+        let report = stm.switch_to(Algorithm::STl2);
         assert!(report.changed());
         // Drained ⇒ T0 retired ⇒ its commit record was fsynced before
         // the new mode published: nothing acked is ever non-durable

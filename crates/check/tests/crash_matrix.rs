@@ -22,35 +22,26 @@ fn executions() -> usize {
 
 #[test]
 fn crash_matrix_no_lost_acked_no_partial_tx() {
-    // The four algorithms at a single clock shard, plus S-NOrec on the
-    // sharded commit clock (the ScNorec engine) — the one engine whose
-    // commit path differs structurally from its single-shard form.
-    let engines: [(Algorithm, usize); 5] = [
-        (Algorithm::NOrec, 1),
-        (Algorithm::SNOrec, 1),
-        (Algorithm::Tl2, 1),
-        (Algorithm::STl2, 1),
-        (Algorithm::SNOrec, 4),
-    ];
     let kernels = [CrashKernel::Bank, CrashKernel::Slots];
 
     let mut csv = String::from(
-        "engine,clock_shards,kernel,executions,kill_points,recoveries,\
+        "engine,kernel,executions,kill_points,recoveries,\
          acked_commits,logged_commits,lost_acked,inconsistent\n",
     );
     let mut failures = Vec::new();
-    for (alg, shards) in engines {
+    for alg in Algorithm::ALL {
         for kernel in kernels {
             let mut cfg = CrashConfig::new(alg, kernel);
-            cfg.clock_shards = shards;
             cfg.executions = executions();
-            // Decorrelate the schedule walks across matrix cells.
-            cfg.base_seed ^= (shards as u64) << 32 | (kernel as u64) << 8 | alg as u64;
-            let report = sweep(&cfg)
-                .unwrap_or_else(|e| panic!("{alg}/{shards} {} sweep failed: {e}", kernel.name()));
+            // Decorrelate the schedule walks across matrix cells. The
+            // `1 << 32` term keeps the seeds the cells had when the shard
+            // count was part of the cell key (it was always 1 for them).
+            cfg.base_seed ^= 1 << 32 | (kernel as u64) << 8 | alg as u64;
+            let report =
+                sweep(&cfg).unwrap_or_else(|e| panic!("{alg} {} sweep failed: {e}", kernel.name()));
             writeln!(
                 csv,
-                "{alg},{shards},{},{},{},{},{},{},{},{}",
+                "{alg},{},{},{},{},{},{},{},{}",
                 kernel.name(),
                 report.executions,
                 report.kill_points,
@@ -63,15 +54,12 @@ fn crash_matrix_no_lost_acked_no_partial_tx() {
             .unwrap();
             // Every cell must actually exercise the machinery...
             if report.kill_points == 0 || report.acked_commits == 0 {
-                failures.push(format!(
-                    "{alg}/{shards} {}: vacuous sweep {report:?}",
-                    kernel.name()
-                ));
+                failures.push(format!("{alg} {}: vacuous sweep {report:?}", kernel.name()));
             }
             // ...and both crash properties must hold at every kill point.
             if report.lost_acked != 0 || report.inconsistent != 0 {
                 failures.push(format!(
-                    "{alg}/{shards} {}: {} lost acked commit(s), {} inconsistent \
+                    "{alg} {}: {} lost acked commit(s), {} inconsistent \
                      recovered state(s) — {report:?}",
                     kernel.name(),
                     report.lost_acked,

@@ -39,6 +39,18 @@ impl Algorithm {
         }
     }
 
+    /// The algorithm of the other engine family with the same
+    /// semanticity (NOrec ↔ TL2, S-NOrec ↔ S-TL2): the only switch the
+    /// adaptive [`crate::Controller`] ever proposes.
+    pub fn other_family(self) -> Algorithm {
+        match self {
+            Algorithm::NOrec => Algorithm::Tl2,
+            Algorithm::SNOrec => Algorithm::STl2,
+            Algorithm::Tl2 => Algorithm::NOrec,
+            Algorithm::STl2 => Algorithm::SNOrec,
+        }
+    }
+
     /// Display name matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -97,23 +109,6 @@ pub struct StmConfig {
     /// "read after read" discussion). Default `false` — the paper appends
     /// duplicates, judging the dedup lookup cost not worth it.
     pub snorec_dedup_reads: bool,
-    /// Number of commit-clock shards for the NOrec family (rounded up to
-    /// a power of two). The default `1` keeps the classical single global
-    /// sequence lock; values above 1 switch NOrec/S-NOrec to the sharded
-    /// commit clock ([`crate::sclock`]): per-cache-line sequence locks,
-    /// per-shard read-set revalidation, and multi-shard commit
-    /// acquisition. The TL2 family keeps its global version clock
-    /// regardless — sharding TL2's version numbers safely is out of
-    /// scope (versions order *all* commits, not just per-line ones).
-    pub clock_shards: usize,
-    /// Route [`crate::Stm::alloc`] / `alloc_cell` / `alloc_array` through
-    /// [`crate::heap::Heap::alloc_padded`], placing every allocation on
-    /// its own cache line (or run of lines). Default `false` — flat
-    /// packing. Padding trades arena slack for the absence of false
-    /// sharing between independently allocated nodes, and at
-    /// `clock_shards > 1` additionally gives each node its own clock
-    /// shard word (the shard map is line-granular).
-    pub padded_alloc: bool,
     /// How much the runtime records about itself. The default,
     /// [`TelemetryLevel::Counters`], costs nothing beyond the counter
     /// increments the runtime always did; higher levels add latency
@@ -162,8 +157,6 @@ impl StmConfig {
             norec_ring_filters: false,
             stl2_snapshot_extension: true,
             snorec_dedup_reads: false,
-            clock_shards: 1,
-            padded_alloc: false,
             telemetry: TelemetryLevel::Counters,
             durability: DurabilityMode::Group,
             adaptive: None,
@@ -210,20 +203,6 @@ impl StmConfig {
     /// Builder-style toggle for S-NOrec read-set deduplication.
     pub fn snorec_dedup_reads(mut self, on: bool) -> StmConfig {
         self.snorec_dedup_reads = on;
-        self
-    }
-
-    /// Builder-style commit-clock shard-count override (NOrec family;
-    /// `1` = the classical global sequence lock).
-    pub fn clock_shards(mut self, shards: usize) -> StmConfig {
-        self.clock_shards = shards;
-        self
-    }
-
-    /// Builder-style toggle for padded (cache-line-per-allocation) heap
-    /// allocation.
-    pub fn padded_alloc(mut self, on: bool) -> StmConfig {
-        self.padded_alloc = on;
         self
     }
 
@@ -277,6 +256,16 @@ mod tests {
     }
 
     #[test]
+    fn other_family_keeps_semanticity() {
+        for alg in Algorithm::ALL {
+            let other = alg.other_family();
+            assert_ne!(other.baseline(), alg.baseline());
+            assert_eq!(other.is_semantic(), alg.is_semantic());
+            assert_eq!(other.other_family(), alg);
+        }
+    }
+
+    #[test]
     fn builder_overrides() {
         let c = StmConfig::new(Algorithm::STl2)
             .cm_policy(CmPolicy::Yield)
@@ -285,8 +274,6 @@ mod tests {
             .lock_wait_spins(7)
             .stl2_snapshot_extension(false)
             .snorec_dedup_reads(true)
-            .clock_shards(8)
-            .padded_alloc(true)
             .telemetry(TelemetryLevel::Trace)
             .trace_capacity(64);
         assert_eq!(c.heap_words, 128);
@@ -294,17 +281,8 @@ mod tests {
         assert_eq!(c.lock_wait_spins, 7);
         assert!(!c.stl2_snapshot_extension);
         assert!(c.snorec_dedup_reads);
-        assert_eq!(c.clock_shards, 8);
-        assert!(c.padded_alloc);
         assert_eq!(c.cm_policy, CmPolicy::Yield);
         assert_eq!(c.telemetry, TelemetryLevel::Trace);
         assert_eq!(c.trace_capacity, 64);
-    }
-
-    #[test]
-    fn clock_defaults_to_single_global_lock() {
-        let c = StmConfig::new(Algorithm::NOrec);
-        assert_eq!(c.clock_shards, 1);
-        assert!(!c.padded_alloc);
     }
 }

@@ -301,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn padded_allocs_land_on_distinct_lines() {
+    fn alloc_padded_lands_on_distinct_lines() {
         let h = Heap::new(LINE_WORDS * 8);
         let a = h.alloc_padded(1);
         let b = h.alloc_padded(LINE_WORDS + 1);
@@ -315,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn padded_alloc_after_unpadded_skips_to_boundary() {
+    fn alloc_padded_after_unpadded_skips_to_boundary() {
         let h = Heap::new(LINE_WORDS * 4);
         let _ = h.alloc(3);
         let a = h.alloc_padded(2);

@@ -77,8 +77,6 @@ pub mod norec;
 pub mod ops;
 pub mod ring;
 pub mod sched;
-pub mod sclock;
-pub mod scnorec;
 pub mod sets;
 pub mod stats;
 pub mod stm;
@@ -89,7 +87,7 @@ pub mod util;
 pub mod value;
 pub mod wal;
 
-pub use adapt::{AdaptPolicy, Controller, Mode, SwitchError, SwitchReport};
+pub use adapt::{AdaptPolicy, Controller, SwitchReport};
 pub use cm::CmPolicy;
 pub use config::{Algorithm, StmConfig};
 pub use error::{Abort, AbortReason, Conflict};

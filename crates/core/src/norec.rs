@@ -31,7 +31,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The single global timestamped lock (even = free, odd = a writer is
 /// committing). All NOrec-family transactions of one [`crate::Stm`]
 /// serialise their write-backs through this word.
+///
+/// Line-aligned so a commit's write to the lock does not evict the
+/// read-mostly [`crate::Stm`] fields (heap base, config) that every
+/// barrier reads and that would otherwise share its cache line.
 #[derive(Default)]
+#[repr(align(128))]
 pub struct NorecGlobal {
     lock: AtomicU64,
     /// RingSTM-style per-commit write filters (used only when the

@@ -55,23 +55,6 @@ pub enum PointKind {
     Tl2CommitCas,
     /// TL2: locks held and clock advanced, before write-back begins.
     Tl2Writeback,
-    /// Sharded-clock NOrec: before the begin-time snapshot of the shard
-    /// vector (one point per double-collect round).
-    ScNorecBegin,
-    /// Sharded-clock NOrec: head of one validation round (before
-    /// sampling the shard vector).
-    ScNorecValidate,
-    /// Sharded-clock NOrec: between moved-shard revalidation and the
-    /// closing re-sample of the shard vector.
-    ScNorecValidateRecheck,
-    /// Sharded-clock NOrec: before the data load of a consistent read.
-    ScNorecRead,
-    /// Sharded-clock NOrec: before one commit-time acquire pass over the
-    /// write-set's shards.
-    ScNorecCommitAcquire,
-    /// Sharded-clock NOrec: all write-set shards held and the read-set
-    /// revalidated, before write-back begins.
-    ScNorecWriteback,
     /// WAL: commit locks held and validation passed, before appending
     /// the resolved write record to the commit log (still before the
     /// first data write-back, so the placement invariant holds).

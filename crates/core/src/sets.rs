@@ -248,15 +248,10 @@ pub(crate) struct TxBuffers {
     pub(crate) writes: WriteSet,
     /// TL2 orecs locked during commit, with their pre-lock words.
     pub(crate) locked: Vec<(usize, OrecWord)>,
-    /// Sorted, deduplicated lock targets of a commit: orec indices (TL2)
-    /// or clock shards (sharded NOrec).
+    /// TL2: sorted, deduplicated orec indices a commit locks.
     pub(crate) targets: Vec<usize>,
     /// The resolved write-set handed to the commit log.
     pub(crate) resolved: Vec<(Addr, i64)>,
-    /// Sharded NOrec: last validated shard vector.
-    pub(crate) snapshot: Vec<u64>,
-    /// Sharded NOrec: sampling buffer for validation rounds.
-    pub(crate) sample: Vec<u64>,
 }
 
 impl TxBuffers {
@@ -276,8 +271,6 @@ impl TxBuffers {
         trim(&mut self.locked);
         trim(&mut self.targets);
         trim(&mut self.resolved);
-        trim(&mut self.snapshot);
-        trim(&mut self.sample);
         if self.writes.map.capacity() > RETAINED_ENTRIES
             || self.writes.entries.capacity() > RETAINED_ENTRIES
         {
@@ -297,8 +290,6 @@ impl TxBuffers {
             self.locked.capacity(),
             self.targets.capacity(),
             self.resolved.capacity(),
-            self.snapshot.capacity(),
-            self.sample.capacity(),
             self.writes.map.capacity(),
             self.writes.entries.capacity(),
         ]

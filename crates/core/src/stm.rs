@@ -18,15 +18,13 @@
 //! its own; buffers grown past `sets::RETAINED_ENTRIES` entries
 //! are released instead of parked (DESIGN.md §3.1).
 
-use crate::adapt::{self, Controller, Mode, ModeMachine, SwitchError, SwitchReport};
+use crate::adapt::{self, Controller, ModeMachine, SwitchReport};
 use crate::cm::ContentionManager;
 use crate::config::{Algorithm, StmConfig};
 use crate::error::{Abort, AbortReason, Conflict};
 use crate::heap::{Addr, Heap};
 use crate::norec::{NorecGlobal, NorecTx};
 use crate::ops::CmpOp;
-use crate::sclock::ShardedClock;
-use crate::scnorec::ScNorecTx;
 use crate::sets::TxBuffers;
 use crate::stats::{OpCounts, StatsSnapshot};
 use crate::telemetry::{PhaseRecorder, SpanEvent, StatShard, Telemetry, TelemetryLevel};
@@ -47,7 +45,6 @@ pub struct Stm {
     config: StmConfig,
     heap: Heap,
     norec: NorecGlobal,
-    sclock: ShardedClock,
     tl2: Tl2Global,
     telemetry: Telemetry,
     wal: Option<CommitLog>,
@@ -66,11 +63,10 @@ impl Stm {
         Stm {
             heap: Heap::new(config.heap_words),
             norec: NorecGlobal::default(),
-            sclock: ShardedClock::new(config.clock_shards),
             tl2: Tl2Global::new(config.orec_count),
             telemetry: Telemetry::new(config.telemetry, config.algorithm, config.trace_capacity),
             wal: None,
-            machine: ModeMachine::new(Mode::initial(&config)),
+            machine: ModeMachine::new(config.algorithm),
             controller: config.adaptive.map(|p| Mutex::new(Controller::new(p))),
             config,
         }
@@ -95,7 +91,9 @@ impl Stm {
         self.wal.as_ref()
     }
 
-    /// The algorithm this instance runs.
+    /// The algorithm this instance was built with
+    /// ([`StmConfig::algorithm`]). After a [`Stm::switch_to`] attempts
+    /// run a different one; [`Stm::mode`] reports what they run now.
     #[inline]
     pub fn algorithm(&self) -> Algorithm {
         self.config.algorithm
@@ -107,20 +105,13 @@ impl Stm {
         &self.heap
     }
 
-    /// Allocate `n` contiguous words. With the
-    /// [`padded_alloc`](StmConfig::padded_alloc) knob on, the block is
-    /// placed on its own cache line(s) — see
-    /// [`Heap::alloc_padded`](crate::heap::Heap::alloc_padded).
+    /// Allocate `n` contiguous words.
     pub fn alloc(&self, n: usize) -> Addr {
-        if self.config.padded_alloc {
-            self.heap.alloc_padded(n)
-        } else {
-            self.heap.alloc(n)
-        }
+        self.heap.alloc(n)
     }
 
-    /// Allocate `n` contiguous words on their own cache line(s),
-    /// regardless of the `padded_alloc` knob (per-pool opt-in).
+    /// Allocate `n` contiguous words on their own cache line(s) — see
+    /// [`Heap::alloc_padded`](crate::heap::Heap::alloc_padded).
     pub fn alloc_padded(&self, n: usize) -> Addr {
         self.heap.alloc_padded(n)
     }
@@ -162,10 +153,10 @@ impl Stm {
         &self.telemetry
     }
 
-    /// The engine mode attempts currently dispatch on. During a switch's
-    /// drain window this still reports the old mode (the one in-flight
+    /// The algorithm attempts currently dispatch on. During a switch's
+    /// drain window this still reports the old one (the one in-flight
     /// attempts run).
-    pub fn mode(&self) -> Mode {
+    pub fn mode(&self) -> Algorithm {
         self.machine.mode()
     }
 
@@ -186,25 +177,16 @@ impl Stm {
     /// is already running). Must not be called from inside a transaction
     /// body on this runtime — the drain would wait for the caller's own
     /// attempt, deadlocking.
-    ///
-    /// Fails with [`SwitchError::Unavailable`] if `target` needs the
-    /// sharded clock and this runtime was built with `clock_shards = 1`
-    /// (or a sharded TL2 mode was requested — that variant does not
-    /// exist).
-    pub fn switch_to(&self, target: Mode) -> Result<SwitchReport, SwitchError> {
-        if !target.available_under(&self.config) {
-            return Err(SwitchError::Unavailable(target));
-        }
-        Ok(self.machine.switch(target, || {
+    pub fn switch_to(&self, target: Algorithm) -> SwitchReport {
+        self.machine.switch(target, || {
             // Quiescent: no commit lock held, no write-back in flight.
             // Bump every engine's clock one era forward (never rewound)
             // so no snapshot taken before the switch can validate as
             // current after it — the new engine starts from a heap that
             // is just initial state to it. See DESIGN.md §10.
             self.norec.reseed();
-            self.sclock.reseed();
             self.tl2.reseed();
-        }))
+        })
     }
 
     /// One controller tick: fold the newest telemetry window into the
@@ -217,14 +199,13 @@ impl Stm {
         let controller = self.controller.as_ref()?;
         let mut ctl = controller.lock().expect("controller poisoned");
         let rates = self.telemetry.rates(ctl.policy().sample_alpha);
-        let target = ctl.decide(self.mode(), &rates, self.config.clock_shards)?;
-        match self.switch_to(target) {
-            Ok(report) if report.changed() => {
-                ctl.note_switched();
-                Some(report)
-            }
-            _ => None,
+        let target = ctl.decide(self.mode(), &rates)?;
+        let report = self.switch_to(target);
+        if !report.changed() {
+            return None;
         }
+        ctl.note_switched();
+        Some(report)
     }
 
     /// Run `body` as a transaction, retrying on aborts with randomised
@@ -475,7 +456,6 @@ fn give_back(mut bufs: TxBuffers) {
 
 enum TxInner<'a> {
     Norec(NorecTx<'a>),
-    ScNorec(ScNorecTx<'a>),
     Tl2(Tl2Tx<'a>),
 }
 
@@ -490,30 +470,19 @@ pub struct Tx<'a> {
 
 impl<'a> TxInner<'a> {
     /// The engine `mode` dispatches on, running on `bufs`.
-    fn build(stm: &'a Stm, mode: Mode, bufs: TxBuffers) -> TxInner<'a> {
+    fn build(stm: &'a Stm, mode: Algorithm, bufs: TxBuffers) -> TxInner<'a> {
         // Dispatch on the *mode*, not the construction-time algorithm:
-        // all engine globals coexist in the Stm, so an adaptive switch
-        // is just a different arm here on the next attempt. (Before
-        // adaptive switching this matched on the config; `Mode::initial`
-        // preserves the old rule, including `clock_shards > 1` selecting
-        // the sharded engine only after its DFS + fuzz gates pass —
-        // crates/check/tests/sharded_clock.rs.)
-        let mut inner = match (mode.algorithm.baseline(), mode.sharded) {
-            (Algorithm::NOrec, true) => TxInner::ScNorec(ScNorecTx::new(
-                &stm.heap,
-                &stm.sclock,
-                stm.config.snorec_dedup_reads,
-                stm.config.lock_wait_spins,
-                bufs,
-            )),
-            (Algorithm::NOrec, false) => TxInner::Norec(NorecTx::new(
+        // both engine globals coexist in the Stm, so an adaptive switch
+        // is just a different arm here on the next attempt.
+        let mut inner = match mode.baseline() {
+            Algorithm::NOrec => TxInner::Norec(NorecTx::new(
                 &stm.heap,
                 &stm.norec,
                 stm.config.snorec_dedup_reads,
                 stm.config.norec_ring_filters,
                 bufs,
             )),
-            (Algorithm::Tl2, _) => TxInner::Tl2(Tl2Tx::new(
+            Algorithm::Tl2 => TxInner::Tl2(Tl2Tx::new(
                 &stm.heap,
                 &stm.tl2,
                 stm.config.lock_wait_spins,
@@ -529,14 +498,12 @@ impl<'a> TxInner<'a> {
         if recorder.is_enabled() {
             match &mut inner {
                 TxInner::Norec(t) => t.enable_spans(recorder),
-                TxInner::ScNorec(t) => t.enable_spans(recorder),
                 TxInner::Tl2(t) => t.enable_spans(recorder),
             }
         }
         if let Some(log) = &stm.wal {
             match &mut inner {
                 TxInner::Norec(t) => t.enable_wal(log),
-                TxInner::ScNorec(t) => t.enable_wal(log),
                 TxInner::Tl2(t) => t.enable_wal(log),
             }
         }
@@ -546,7 +513,6 @@ impl<'a> TxInner<'a> {
     fn take_buffers(&mut self) -> TxBuffers {
         match self {
             TxInner::Norec(t) => t.take_buffers(),
-            TxInner::ScNorec(t) => t.take_buffers(),
             TxInner::Tl2(t) => t.take_buffers(),
         }
     }
@@ -554,28 +520,27 @@ impl<'a> TxInner<'a> {
 
 impl<'a> Tx<'a> {
     /// An attempt context for `mode`, on the thread's recycled buffers.
-    fn new(stm: &'a Stm, mode: Mode) -> Tx<'a> {
+    fn new(stm: &'a Stm, mode: Algorithm) -> Tx<'a> {
         Tx {
             inner: TxInner::build(stm, mode, take_buffers()),
-            semantic: mode.algorithm.is_semantic(),
+            semantic: mode.is_semantic(),
             ops: OpCounts::default(),
         }
     }
 
     /// Rebuild the attempt context for `mode` after an adaptive switch,
     /// moving the buffers over to the new engine.
-    fn switch_engine(&mut self, stm: &'a Stm, mode: Mode) {
+    fn switch_engine(&mut self, stm: &'a Stm, mode: Algorithm) {
         let mut bufs = self.inner.take_buffers();
         bufs.recycle();
         self.inner = TxInner::build(stm, mode, bufs);
-        self.semantic = mode.algorithm.is_semantic();
+        self.semantic = mode.is_semantic();
     }
 
     fn begin(&mut self) {
         self.ops.clear();
         match &mut self.inner {
             TxInner::Norec(t) => t.begin(),
-            TxInner::ScNorec(t) => t.begin(),
             TxInner::Tl2(t) => t.begin(),
         }
     }
@@ -583,7 +548,6 @@ impl<'a> Tx<'a> {
     fn commit(&mut self) -> Result<(), Abort> {
         match &mut self.inner {
             TxInner::Norec(t) => t.commit(),
-            TxInner::ScNorec(t) => t.commit(),
             TxInner::Tl2(t) => t.commit(),
         }
     }
@@ -599,7 +563,6 @@ impl<'a> Tx<'a> {
         self.ops.reads += 1;
         match &mut self.inner {
             TxInner::Norec(t) => t.read(addr, &mut self.ops),
-            TxInner::ScNorec(t) => t.read(addr, &mut self.ops),
             TxInner::Tl2(t) => t.read(addr, &mut self.ops),
         }
     }
@@ -609,7 +572,6 @@ impl<'a> Tx<'a> {
         self.ops.writes += 1;
         match &mut self.inner {
             TxInner::Norec(t) => t.write(addr, value),
-            TxInner::ScNorec(t) => t.write(addr, value),
             TxInner::Tl2(t) => t.write(addr, value),
         }
         Ok(())
@@ -628,7 +590,6 @@ impl<'a> Tx<'a> {
         self.ops.cmps += 1;
         match &mut self.inner {
             TxInner::Norec(t) => t.cmp(addr, op, operand, &mut self.ops),
-            TxInner::ScNorec(t) => t.cmp(addr, op, operand, &mut self.ops),
             TxInner::Tl2(t) => t.cmp(addr, op, operand, &mut self.ops),
         }
     }
@@ -644,7 +605,6 @@ impl<'a> Tx<'a> {
         self.ops.cmp_pairs += 1;
         match &mut self.inner {
             TxInner::Norec(t) => t.cmp_addr(a, op, b, &mut self.ops),
-            TxInner::ScNorec(t) => t.cmp_addr(a, op, b, &mut self.ops),
             TxInner::Tl2(t) => t.cmp_addr(a, op, b, &mut self.ops),
         }
     }
@@ -662,7 +622,6 @@ impl<'a> Tx<'a> {
         self.ops.incs += 1;
         match &mut self.inner {
             TxInner::Norec(t) => t.inc(addr, delta),
-            TxInner::ScNorec(t) => t.inc(addr, delta),
             TxInner::Tl2(t) => t.inc(addr, delta),
         }
         Ok(())
@@ -709,7 +668,6 @@ impl<'a> Tx<'a> {
     pub fn read_set_len(&self) -> usize {
         match &self.inner {
             TxInner::Norec(t) => t.read_set_len(),
-            TxInner::ScNorec(t) => t.read_set_len(),
             TxInner::Tl2(t) => t.read_set_len(),
         }
     }
@@ -718,7 +676,7 @@ impl<'a> Tx<'a> {
     /// the NOrec family, whose cmp outcomes live in the read-set).
     pub fn compare_set_len(&self) -> usize {
         match &self.inner {
-            TxInner::Norec(_) | TxInner::ScNorec(_) => 0,
+            TxInner::Norec(_) => 0,
             TxInner::Tl2(t) => t.compare_set_len(),
         }
     }
@@ -727,7 +685,6 @@ impl<'a> Tx<'a> {
     pub fn is_writer(&self) -> bool {
         match &self.inner {
             TxInner::Norec(t) => t.is_writer(),
-            TxInner::ScNorec(t) => t.is_writer(),
             TxInner::Tl2(t) => t.is_writer(),
         }
     }
@@ -735,7 +692,6 @@ impl<'a> Tx<'a> {
     fn write_set_len(&self) -> usize {
         match &self.inner {
             TxInner::Norec(t) => t.write_set_len(),
-            TxInner::ScNorec(t) => t.write_set_len(),
             TxInner::Tl2(t) => t.write_set_len(),
         }
     }
@@ -743,7 +699,6 @@ impl<'a> Tx<'a> {
     fn phases(&self) -> PhaseRecorder {
         match &self.inner {
             TxInner::Norec(t) => t.phases(),
-            TxInner::ScNorec(t) => t.phases(),
             TxInner::Tl2(t) => t.phases(),
         }
     }
@@ -945,88 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_clock_runs_the_full_api() {
-        for alg in Algorithm::ALL {
-            let stm = Stm::new(
-                StmConfig::new(alg)
-                    .heap_words(1 << 12)
-                    .orec_count(1 << 8)
-                    .clock_shards(4)
-                    .padded_alloc(true),
-            );
-            let x = stm.alloc_cell(5i64);
-            let y = stm.alloc_cell(5i64);
-            let ok = stm.atomic(|tx| {
-                let c = tx.gt(x, 0)? || tx.cmp_addr(x, CmpOp::Gt, y)?;
-                if c {
-                    tx.inc(x, 1)?;
-                    tx.dec(y, 1)?;
-                }
-                Ok(c)
-            });
-            assert!(ok);
-            assert_eq!(stm.read_now(x), 6, "{alg}");
-            assert_eq!(stm.read_now(y), 4, "{alg}");
-            assert_eq!(stm.stats().commits, 1, "{alg}");
-        }
-    }
-
-    #[test]
-    fn padded_alloc_knob_spreads_allocations_over_lines() {
-        use crate::heap::LINE_WORDS;
-        let stm = Stm::new(
-            StmConfig::new(Algorithm::NOrec)
-                .heap_words(1 << 12)
-                .padded_alloc(true),
-        );
-        let a = stm.alloc_cell(1i64);
-        let b = stm.alloc_cell(2i64);
-        assert_eq!(a.index() % LINE_WORDS, 0);
-        assert_eq!(b.index() % LINE_WORDS, 0);
-        assert_ne!(a.index() / LINE_WORDS, b.index() / LINE_WORDS);
-        assert_eq!(stm.read_now(a), 1);
-        assert_eq!(stm.read_now(b), 2);
-    }
-
-    #[test]
-    fn sharded_concurrent_increments_preserve_sum() {
-        for shards in [2, 8] {
-            let stm = std::sync::Arc::new(Stm::new(
-                StmConfig::new(Algorithm::SNOrec)
-                    .heap_words(1 << 12)
-                    .clock_shards(shards)
-                    .padded_alloc(true),
-            ));
-            let a = stm.alloc_cell(0i64);
-            let b = stm.alloc_cell(0i64);
-            let threads = 4i64;
-            let per = 200i64;
-            let mut joins = Vec::new();
-            for t in 0..threads {
-                let stm = stm.clone();
-                joins.push(std::thread::spawn(move || {
-                    for i in 0..per {
-                        // Mix single- and cross-shard commits.
-                        if (t + i) % 2 == 0 {
-                            stm.atomic(|tx| tx.inc(a, 1));
-                        } else {
-                            stm.atomic(|tx| {
-                                tx.inc(a, 1)?;
-                                tx.inc(b, 1)
-                            });
-                        }
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            assert_eq!(stm.read_now(a), threads * per, "{shards} shards");
-            assert_eq!(stm.read_now(b), threads * per / 2, "{shards} shards");
-        }
-    }
-
-    #[test]
     fn concurrent_increments_preserve_sum() {
         for alg in Algorithm::ALL {
             let stm =
@@ -1054,14 +927,13 @@ mod tests {
     #[test]
     fn hot_swap_mid_run_preserves_sum() {
         // Worker threads increment two cells while a switcher thread
-        // cycles the runtime through every engine family. Every commit
+        // cycles the runtime through all four algorithms. Every commit
         // must land in exactly one engine era; the final sum proves no
         // increment was lost or double-applied across a handoff.
         let stm = std::sync::Arc::new(Stm::new(
             StmConfig::new(Algorithm::SNOrec)
                 .heap_words(64)
-                .orec_count(64)
-                .clock_shards(4),
+                .orec_count(64),
         ));
         let a = stm.alloc_cell(0i64);
         let b = stm.alloc_cell(0i64);
@@ -1083,22 +955,20 @@ mod tests {
                 }
             }));
         }
-        // Starts sharded S-NOrec (clock_shards > 1); every hop below
-        // changes mode, including the wrap-around, so each of the 18
-        // switch_to calls drains and republishes.
+        // Starts on S-NOrec; every hop below changes mode, including the
+        // wrap-around, so each of the 16 switch_to calls drains and
+        // republishes.
         let cycle = [
-            Mode::new(Algorithm::STl2),
-            Mode::sharded(Algorithm::SNOrec),
-            Mode::new(Algorithm::NOrec),
-            Mode::sharded(Algorithm::NOrec),
-            Mode::new(Algorithm::Tl2),
-            Mode::new(Algorithm::SNOrec),
+            Algorithm::STl2,
+            Algorithm::NOrec,
+            Algorithm::Tl2,
+            Algorithm::SNOrec,
         ];
         let switcher = {
             let stm = stm.clone();
             std::thread::spawn(move || {
-                for target in cycle.into_iter().cycle().take(18) {
-                    stm.switch_to(target).unwrap();
+                for target in cycle.into_iter().cycle().take(16) {
+                    assert!(stm.switch_to(target).changed());
                     std::thread::yield_now();
                 }
             })
@@ -1110,7 +980,14 @@ mod tests {
         assert_eq!(stm.read_now(a), threads * per);
         assert_eq!(stm.read_now(b), threads * per / 2);
         assert_eq!(stm.stats().commits, (threads * per) as u64);
-        assert_eq!(stm.switch_count(), 18);
+        assert_eq!(stm.switch_count(), 16);
+        // The cycle ends where it started, on the construction-time
+        // algorithm; `algorithm()` never follows a switch.
+        assert_eq!(stm.mode(), Algorithm::SNOrec);
+        assert_eq!(stm.algorithm(), Algorithm::SNOrec);
+        stm.switch_to(Algorithm::Tl2);
+        assert_eq!(stm.mode(), Algorithm::Tl2);
+        assert_eq!(stm.algorithm(), Algorithm::SNOrec);
     }
 
     #[test]
@@ -1216,41 +1093,32 @@ mod tests {
     }
 
     #[test]
-    fn switch_to_rejects_unavailable_mode() {
+    fn switch_to_current_mode_is_a_no_op() {
         let stm = Stm::new(StmConfig::new(Algorithm::SNOrec).heap_words(64));
-        let err = stm.switch_to(Mode::sharded(Algorithm::SNOrec)).unwrap_err();
-        assert_eq!(
-            err,
-            SwitchError::Unavailable(Mode::sharded(Algorithm::SNOrec))
-        );
-        // The runtime is untouched by a rejected switch.
-        assert_eq!(stm.mode(), Mode::new(Algorithm::SNOrec));
-        assert_eq!(stm.switch_count(), 0);
-        // A no-op switch to the current mode succeeds without draining.
-        let report = stm.switch_to(Mode::new(Algorithm::SNOrec)).unwrap();
+        let report = stm.switch_to(Algorithm::SNOrec);
         assert!(!report.changed());
+        assert_eq!(stm.mode(), Algorithm::SNOrec);
         assert_eq!(stm.switch_count(), 0);
     }
 
     #[test]
     fn adapt_tick_switches_under_write_wide_profile() {
-        // A multi-shard runtime starts on the sharded clock. A
-        // write-wide profile (Bank-like: every commit touches many
-        // words, so a sharded commit pays the multi-shard acquisition
-        // on each one) makes the global clock cheaper; one controller
-        // tick over the observed window should move the runtime there.
+        // The runtime starts on S-TL2. A write-wide profile (Bank-like:
+        // every commit locks many orecs) makes the NOrec family's single
+        // clock cheaper; one controller tick over the observed window
+        // should move the runtime there.
         let policy = crate::adapt::AdaptPolicy {
             min_commits: 32,
             dwell_ticks: 0,
             ..crate::adapt::AdaptPolicy::default()
         };
         let stm = Stm::new(
-            StmConfig::new(Algorithm::SNOrec)
+            StmConfig::new(Algorithm::STl2)
                 .heap_words(256)
-                .clock_shards(8)
+                .orec_count(256)
                 .adaptive(policy),
         );
-        assert_eq!(stm.mode(), Mode::sharded(Algorithm::SNOrec));
+        assert_eq!(stm.mode(), Algorithm::STl2);
         let arr: Vec<_> = (0..16).map(|_| stm.alloc_cell(1i64)).collect();
         for _ in 0..200 {
             stm.atomic(|tx| {
@@ -1263,10 +1131,9 @@ mod tests {
         }
         let report = stm.adapt_tick();
         assert!(report.is_some_and(|r| r.changed()), "expected a switch");
-        assert_eq!(stm.mode(), Mode::new(Algorithm::SNOrec));
-        assert_eq!(stm.switch_count(), 1);
         // Semanticity is preserved by adaptation: still the S-family.
-        assert!(stm.mode().algorithm.is_semantic());
+        assert_eq!(stm.mode(), Algorithm::SNOrec);
+        assert_eq!(stm.switch_count(), 1);
         // A second tick right after: the window is near-empty, stay put.
         assert!(stm.adapt_tick().is_none());
     }

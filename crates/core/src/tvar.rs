@@ -102,8 +102,7 @@ pub struct TArray<T: Word> {
     base: Addr,
     len: usize,
     /// Word distance between consecutive elements (1 = contiguous,
-    /// [`crate::heap::LINE_WORDS`] = one cache line — and therefore one
-    /// commit-clock shard — per element).
+    /// [`crate::heap::LINE_WORDS`] = one cache line per element).
     stride: usize,
     _t: PhantomData<T>,
 }
@@ -128,8 +127,7 @@ impl<T: Word> TArray<T> {
 
     /// Allocate a line-striped array: each element sits on its own cache
     /// line, so no two elements share a line (no false sharing between
-    /// them) and, under a sharded commit clock, no two elements share a
-    /// clock-shard word gratuitously. Costs
+    /// them). Costs
     /// `len × `[`crate::heap::LINE_WORDS`] heap words instead of `len`.
     pub fn new_striped(stm: &Stm, len: usize, init: T) -> TArray<T> {
         let stride = crate::heap::LINE_WORDS;

@@ -42,9 +42,8 @@ pub struct BankConfig {
     /// uniform draw.
     pub skew_accounts: usize,
     /// Line-stripe the account array ([`TArray::new_striped`]): one
-    /// account per cache line, so accounts never false-share a line and,
-    /// under a sharded commit clock, spread across shards. Costs 16× the
-    /// heap words.
+    /// account per cache line, so accounts never false-share a line.
+    /// Costs 16× the heap words.
     pub padded: bool,
 }
 
@@ -356,16 +355,10 @@ mod tests {
     }
 
     #[test]
-    fn padded_bank_conserves_money_under_sharded_clock() {
-        // The ablation's "sharded+padded" cell: striped accounts on a
-        // 16-shard commit clock, every algorithm, concurrent run.
+    fn padded_bank_conserves_money() {
+        // Striped accounts (one cache line each), every algorithm.
         for alg in Algorithm::ALL {
-            let s = Stm::new(
-                StmConfig::new(alg)
-                    .heap_words(1 << 14)
-                    .orec_count(1 << 8)
-                    .clock_shards(16),
-            );
+            let s = Stm::new(StmConfig::new(alg).heap_words(1 << 14).orec_count(1 << 8));
             let cfg = BankConfig {
                 accounts: 16,
                 padded: true,

@@ -43,8 +43,7 @@ pub struct HashtableConfig {
     pub key_space: u64,
     /// Line-stripe both cell arrays ([`TArray::new_striped`]): one cell
     /// per cache line, so probes over neighbouring cells never share a
-    /// line and, under a sharded commit clock, spread across shards.
-    /// Costs 16× the heap words.
+    /// line. Costs 16× the heap words.
     pub padded: bool,
 }
 
@@ -403,16 +402,14 @@ mod tests {
     }
 
     #[test]
-    fn padded_table_keeps_integrity_under_sharded_clock() {
-        // The ablation's "sharded+padded" cell: striped cell arrays on a
-        // 16-shard commit clock. Striping costs 16× heap, so the heap is
+    fn padded_table_keeps_integrity() {
+        // Striped cell arrays: striping costs 16× heap, so the heap is
         // sized at capacity × stride × 2 arrays plus slack.
         for alg in [Algorithm::NOrec, Algorithm::SNOrec] {
             let s = Stm::new(
                 StmConfig::new(alg)
                     .heap_words(512 * 16 * 2 + 256)
-                    .orec_count(1 << 10)
-                    .clock_shards(16),
+                    .orec_count(1 << 10),
             );
             let r = run(
                 &s,

@@ -5,10 +5,9 @@
 //! the observed sum into one of a few summary slots, and occasionally
 //! increments one scanned cell (a semantic `TM_INC`). The profile is
 //! the inverse of Bank's: a large read-set with a one-or-two-word
-//! write-set — the regime where a single global commit clock forces
-//! every reader to revalidate its whole window on every commit, while a
-//! sharded clock localises the damage to the one or two shards a commit
-//! actually moved.
+//! write-set — the regime where NOrec's single commit clock forces
+//! every reader to revalidate its whole window on every commit, while
+//! TL2 validates each read against its own orec.
 //!
 //! Invariants (cells only ever grow, one increment per writing tx):
 //! * conservation — `Σ cells == cells·initial_value + total increments`;
@@ -38,10 +37,6 @@ pub struct ScanConfig {
     /// Initial value of every data cell (nonzero keeps the published
     /// sum bound meaningful).
     pub initial_value: i64,
-    /// Line-stripe both arrays ([`TArray::new_striped`]) so cells land
-    /// on distinct cache lines and, under a sharded commit clock,
-    /// distinct shards. Costs 16× the heap words.
-    pub padded: bool,
 }
 
 impl Default for ScanConfig {
@@ -52,7 +47,6 @@ impl Default for ScanConfig {
             summary_slots: 16,
             inc_per_mille: 150,
             initial_value: 1,
-            padded: false,
         }
     }
 }
@@ -67,20 +61,9 @@ pub struct Scan {
 impl Scan {
     /// Allocate and initialise the arrays on `stm`'s heap.
     pub fn new(stm: &Stm, config: ScanConfig) -> Scan {
-        let (cells, summaries) = if config.padded {
-            (
-                TArray::new_striped(stm, config.cells, config.initial_value),
-                TArray::new_striped(stm, config.summary_slots, 0),
-            )
-        } else {
-            (
-                TArray::new(stm, config.cells, config.initial_value),
-                TArray::new(stm, config.summary_slots, 0),
-            )
-        };
         Scan {
-            cells,
-            summaries,
+            cells: TArray::new(stm, config.cells, config.initial_value),
+            summaries: TArray::new(stm, config.summary_slots, 0),
             config,
         }
     }
@@ -202,18 +185,5 @@ mod tests {
         let incs = scan.scan_tx(&stm, &mut rng);
         scan.summaries.write_now(&stm, 0, i64::MAX / 2);
         assert!(scan.verify(&stm, incs).is_err());
-    }
-
-    #[test]
-    fn padded_layout_matches_flat_semantics() {
-        let stm = small_stm(Algorithm::STl2);
-        let cfg = ScanConfig {
-            cells: 32,
-            reads_per_tx: 8,
-            padded: true,
-            ..ScanConfig::default()
-        };
-        let r = run(&stm, cfg, 2, Duration::from_millis(30), 11);
-        assert!(r.total_ops > 0);
     }
 }

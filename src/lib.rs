@@ -20,6 +20,6 @@ pub use semtm_workloads as workloads;
 // Flat re-exports of the everyday API.
 pub use semtm_core::{
     Abort, AbortEvent, AbortReason, AdaptPolicy, Addr, Algorithm, CmpOp, Conflict, ConflictEdge,
-    Fx32, Heap, HistogramSnapshot, Mode, SamplePoint, Sampler, SpanEvent, StatsSnapshot, Stm,
-    StmConfig, SwitchError, SwitchReport, TArray, TVar, Telemetry, TelemetryLevel, Tx, Word,
+    Fx32, Heap, HistogramSnapshot, SamplePoint, Sampler, SpanEvent, StatsSnapshot, Stm, StmConfig,
+    SwitchReport, TArray, TVar, Telemetry, TelemetryLevel, Tx, Word,
 };

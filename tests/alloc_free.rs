@@ -77,19 +77,11 @@ fn steady_state_allocations(mut tx: impl FnMut(usize)) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// The engines under test: the four algorithms plus sharded S-NOrec.
-fn configs() -> Vec<(String, StmConfig)> {
-    let mut out: Vec<(String, StmConfig)> = Algorithm::ALL
+/// The engines under test: the four algorithms.
+fn configs() -> impl Iterator<Item = (Algorithm, StmConfig)> {
+    Algorithm::ALL
         .into_iter()
-        .map(|a| (a.to_string(), StmConfig::new(a)))
-        .collect();
-    out.push((
-        "sharded S-NOrec".into(),
-        StmConfig::new(Algorithm::SNOrec).clock_shards(4),
-    ));
-    out.into_iter()
-        .map(|(name, c)| (name, c.heap_words(1 << 10).orec_count(1 << 8)))
-        .collect()
+        .map(|a| (a, StmConfig::new(a).heap_words(1 << 10).orec_count(1 << 8)))
 }
 
 /// A mixed transaction over `cells` (16 words): reads, writes, both
