@@ -81,17 +81,31 @@ fn wal_io_errors_poison_the_log_and_fail_stop() {
     assert_eq!(durable, 0, "fsync failed, nothing is durable");
     fault::arm(0);
 
-    // --- Direct CommitLog surface: flush_step reports the error, then
+    // --- Direct CommitLog surface: flush_step reports the error, every
+    // committer waiting for the failed batch is woken with it, then
     // every later call fails fast with the original root cause. ---
     fault::arm(fault::WAL_APPEND_IO_ERROR);
     let (sim, _handle) = SimStorage::new();
     let log = CommitLog::new(Box::new(sim), DurabilityMode::Manual);
-    let t = log.append(&[]).expect("buffering an append cannot fail");
-    assert_eq!(t.seq(), 1);
-    match log.flush_step() {
-        Err(WalError::Append(_)) => {}
-        other => panic!("expected an append I/O error, got {other:?}"),
-    }
+    let tickets = [(); 2].map(|_| log.append(&[]).expect("buffering an append cannot fail"));
+    assert_eq!(tickets.map(|t| t.seq()), [1, 2]);
+    std::thread::scope(|s| {
+        let waiters = tickets.map(|t| {
+            let log = &log;
+            s.spawn(move || log.wait_durable(t))
+        });
+        match log.flush_step() {
+            Err(WalError::Append(_)) => {}
+            other => panic!("expected an append I/O error, got {other:?}"),
+        }
+        for w in waiters {
+            let woken = w.join().expect("waiter thread");
+            assert!(
+                matches!(woken, Err(WalError::Append(_))),
+                "a waiter must see the root cause, got {woken:?}"
+            );
+        }
+    });
     fault::arm(0);
     assert!(matches!(log.flush_step(), Err(WalError::Append(_))));
     assert!(matches!(log.append(&[]), Err(WalError::Append(_))));

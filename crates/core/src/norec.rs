@@ -408,7 +408,8 @@ impl<'a> NorecTx<'a> {
         // Lock held: resolve deferred increments against live memory
         // into absolute values. The WAL record must hold the resolved
         // values (replay cannot re-run increments), so resolution moves
-        // ahead of the log append; without a log it fuses back into the
+        // ahead of the log append and the write-back stores the same
+        // resolved values; without a log it fuses back into the
         // write-back loop below via the same `WriteEntry::resolve`.
         let ticket = if let Some(log) = self.wal {
             let bufs = &mut self.bufs;
@@ -431,9 +432,16 @@ impl<'a> NorecTx<'a> {
         sched::point(sched::PointKind::NorecWriteback);
         self.phases.mark_writeback();
         let mut write_filter = 0u64;
-        for (addr, e) in self.bufs.writes.iter() {
-            self.heap.tm_store(addr, e.resolve(self.heap, addr));
-            write_filter |= filter_bit(addr.index());
+        if ticket.is_some() {
+            for &(addr, value) in &self.bufs.resolved {
+                self.heap.tm_store(addr, value);
+                write_filter |= filter_bit(addr.index());
+            }
+        } else {
+            for (addr, e) in self.bufs.writes.iter() {
+                self.heap.tm_store(addr, e.resolve(self.heap, addr));
+                write_filter |= filter_bit(addr.index());
+            }
         }
         if self.use_ring {
             // Publish before release so any reader that observes the new

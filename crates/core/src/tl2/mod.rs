@@ -599,8 +599,15 @@ impl<'a> Tl2Tx<'a> {
         // the write-back is one atomic step of the virtual schedule.
         sched::point(sched::PointKind::Tl2Writeback);
         self.phases.mark_writeback();
-        for (addr, e) in self.bufs.writes.iter() {
-            self.heap.tm_store(addr, e.resolve(self.heap, addr));
+        if ticket.is_some() {
+            // Resolved above, under these same locks.
+            for &(addr, value) in &self.bufs.resolved {
+                self.heap.tm_store(addr, value);
+            }
+        } else {
+            for (addr, e) in self.bufs.writes.iter() {
+                self.heap.tm_store(addr, e.resolve(self.heap, addr));
+            }
         }
         if self.record_committer {
             // Still under our commit locks: a reader whose validation

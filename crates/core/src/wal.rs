@@ -47,15 +47,18 @@ use crate::heap::{Addr, Heap};
 use crate::sched;
 use std::io::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 // --- CRC32 ----------------------------------------------------------------
 
-/// IEEE CRC-32 table (reflected, polynomial 0xEDB88320), built at
-/// compile time — the workspace is offline, so no crc crate.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 tables for slicing-by-8 (reflected, polynomial
+/// 0xEDB88320), built at compile time — the workspace is offline, so no
+/// crc crate. `T[0]` is the classic bytewise table; `T[k][b]` is the CRC
+/// contribution of byte `b` followed by `k` zero bytes, so one lookup
+/// per table folds eight input bytes into the register at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -68,19 +71,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC-32 of `bytes` (the checksum framing every log record).
+/// Slicing-by-8: eight bytes per step, the tail bytewise; the result is
+/// bit for bit the plain bytewise CRC, so the log format is unchanged.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -159,6 +188,60 @@ impl StopReason {
     }
 }
 
+/// Parse the record starting at `bytes[pos..]`, which must carry
+/// sequence number `expected_seq`: its sequence number, its entry bytes
+/// (`count` packed `(addr:u32, value:i64)` pairs, see [`entries`]) and
+/// the position of the next record — or why the valid prefix ends here.
+fn decode_record(
+    bytes: &[u8],
+    pos: usize,
+    expected_seq: u64,
+) -> Result<(u64, &[u8], usize), StopReason> {
+    let rest = &bytes[pos..];
+    if rest.is_empty() {
+        return Err(StopReason::CleanEnd);
+    }
+    if rest.len() < 4 {
+        return Err(StopReason::TornHeader);
+    }
+    let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+    if len < RECORD_FIXED
+        || !(len - RECORD_FIXED).is_multiple_of(ENTRY_BYTES)
+        || (len - RECORD_FIXED) / ENTRY_BYTES > MAX_ENTRIES
+    {
+        return Err(StopReason::BadLength);
+    }
+    if rest.len() - 4 < len {
+        return Err(StopReason::TornRecord);
+    }
+    let body = &rest[4..4 + len - 4];
+    let crc_stored = u32::from_le_bytes(rest[4 + len - 4..4 + len].try_into().unwrap());
+    if crc32(body) != crc_stored {
+        return Err(StopReason::BadCrc);
+    }
+    let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
+    let count = u32::from_le_bytes(body[8..12].try_into().unwrap()) as usize;
+    if count * ENTRY_BYTES != body.len() - 12 {
+        // `count` disagrees with `len`; CRC matched, so the record
+        // was written this way — treat as corruption all the same.
+        return Err(StopReason::BadLength);
+    }
+    if seq != expected_seq {
+        return Err(StopReason::BadSequence);
+    }
+    Ok((seq, &body[12..], pos + 4 + len))
+}
+
+/// The `(addr, value)` stores packed in a record's entry bytes.
+fn entries(bytes: &[u8]) -> impl Iterator<Item = (u32, i64)> + '_ {
+    bytes.chunks_exact(ENTRY_BYTES).map(|e| {
+        (
+            u32::from_le_bytes(e[..4].try_into().unwrap()),
+            i64::from_le_bytes(e[4..].try_into().unwrap()),
+        )
+    })
+}
+
 /// Decode the longest valid record prefix of `bytes`.
 ///
 /// Returns the decoded records, the number of bytes consumed (always a
@@ -168,50 +251,17 @@ impl StopReason {
 pub fn read_records(bytes: &[u8]) -> (Vec<WalRecord>, usize, StopReason) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    let mut expected_seq = 1u64;
     loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            return (records, pos, StopReason::CleanEnd);
+        match decode_record(bytes, pos, records.len() as u64 + 1) {
+            Ok((seq, body, next)) => {
+                records.push(WalRecord {
+                    seq,
+                    writes: entries(body).collect(),
+                });
+                pos = next;
+            }
+            Err(stop) => return (records, pos, stop),
         }
-        if rest.len() < 4 {
-            return (records, pos, StopReason::TornHeader);
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        if len < RECORD_FIXED
-            || !(len - RECORD_FIXED).is_multiple_of(ENTRY_BYTES)
-            || (len - RECORD_FIXED) / ENTRY_BYTES > MAX_ENTRIES
-        {
-            return (records, pos, StopReason::BadLength);
-        }
-        if rest.len() - 4 < len {
-            return (records, pos, StopReason::TornRecord);
-        }
-        let body = &rest[4..4 + len - 4];
-        let crc_stored = u32::from_le_bytes(rest[4 + len - 4..4 + len].try_into().unwrap());
-        if crc32(body) != crc_stored {
-            return (records, pos, StopReason::BadCrc);
-        }
-        let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-        let count = u32::from_le_bytes(body[8..12].try_into().unwrap()) as usize;
-        if count * ENTRY_BYTES != body.len() - 12 {
-            // `count` disagrees with `len`; CRC matched, so the record
-            // was written this way — treat as corruption all the same.
-            return (records, pos, StopReason::BadLength);
-        }
-        if seq != expected_seq {
-            return (records, pos, StopReason::BadSequence);
-        }
-        let mut writes = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = 12 + i * ENTRY_BYTES;
-            let addr = u32::from_le_bytes(body[off..off + 4].try_into().unwrap());
-            let value = i64::from_le_bytes(body[off + 4..off + 12].try_into().unwrap());
-            writes.push((addr, value));
-        }
-        records.push(WalRecord { seq, writes });
-        expected_seq += 1;
-        pos += 4 + len;
     }
 }
 
@@ -228,7 +278,8 @@ pub struct RecoveryReport {
     pub stopped: StopReason,
 }
 
-/// Replay the valid prefix of a log byte stream into `heap`.
+/// Replay the valid prefix of a log byte stream into `heap`, applying
+/// each record's stores as it is decoded.
 ///
 /// Records hold absolute resolved values, so replay is **idempotent**:
 /// replaying the same prefix any number of times yields the same heap.
@@ -236,27 +287,35 @@ pub struct RecoveryReport {
 /// # Panics
 /// Panics if a CRC-valid record addresses a word outside `heap` — that
 /// is a configuration error (recovering into a smaller heap than the
-/// one that wrote the log), not log corruption.
+/// one that wrote the log), not log corruption. Records before it have
+/// been applied by then.
 pub fn replay(bytes: &[u8], heap: &Heap) -> RecoveryReport {
-    let (records, consumed, stopped) = read_records(bytes);
-    let mut last_seq = 0;
-    for r in &records {
-        for &(addr, value) in &r.writes {
-            assert!(
-                (addr as usize) < heap.capacity(),
-                "WAL record {} addresses word {} beyond heap capacity {}",
-                r.seq,
-                addr,
-                heap.capacity()
-            );
-            heap.store(Addr::from_index(addr as usize), value);
+    let mut pos = 0usize;
+    let mut last_seq = 0u64;
+    let stopped = loop {
+        match decode_record(bytes, pos, last_seq + 1) {
+            Ok((seq, body, next)) => {
+                for (addr, value) in entries(body) {
+                    assert!(
+                        (addr as usize) < heap.capacity(),
+                        "WAL record {} addresses word {} beyond heap capacity {}",
+                        seq,
+                        addr,
+                        heap.capacity()
+                    );
+                    heap.store(Addr::from_index(addr as usize), value);
+                }
+                last_seq = seq;
+                pos = next;
+            }
+            Err(stop) => break stop,
         }
-        last_seq = r.seq;
-    }
+    };
     RecoveryReport {
-        records: records.len() as u64,
+        // Sequence numbers run contiguously from 1.
+        records: last_seq,
         last_seq,
-        bytes_consumed: consumed,
+        bytes_consumed: pos,
         stopped,
     }
 }
@@ -446,11 +505,17 @@ struct LogState {
     poison: Option<WalError>,
     /// Acked sequence numbers in ack order (only when tracking is on).
     acks: Vec<u64>,
-    track_acks: bool,
+    /// Threads blocked on `cv` right now: the group flusher waiting for
+    /// records, committers waiting for their batch. Raised and lowered
+    /// under this lock around each wait, so a notifier holding the lock
+    /// that reads 0 knows no thread can miss its wake-up.
+    parked: u32,
 }
 
 struct LogShared {
     state: Mutex<LogState>,
+    /// Wakes parked threads (see `LogState::parked`). Notified only
+    /// when someone is parked, except by `poison` and shutdown.
     cv: Condvar,
     /// Held for the full duration of one flush step, serialising flushes
     /// so batches reach storage in buffer (= sequence) order. Separate
@@ -460,14 +525,39 @@ struct LogShared {
     durable_seq: AtomicU64,
     poisoned: AtomicBool,
     shutdown: AtomicBool,
+    /// Record acked sequence numbers in `LogState::acks`; read before
+    /// locking, so an untracked ack takes no lock.
+    track_acks: AtomicBool,
+    /// `notify` calls so far (the wake-up accounting tests).
+    #[cfg(test)]
+    notifications: AtomicU64,
 }
 
 impl LogShared {
+    /// Wake every thread parked on `cv`.
+    fn notify(&self) {
+        #[cfg(test)]
+        self.notifications.fetch_add(1, Ordering::Relaxed);
+        self.cv.notify_all();
+    }
+
+    /// Park on `cv` (at most `timeout`), counted in `LogState::parked`.
+    fn park<'a>(
+        &self,
+        mut st: MutexGuard<'a, LogState>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, LogState> {
+        st.parked += 1;
+        let (mut st, _timeout) = self.cv.wait_timeout(st, timeout).unwrap();
+        st.parked -= 1;
+        st
+    }
+
     fn poison(&self, e: WalError) -> WalError {
         let mut st = self.state.lock().unwrap();
         let first = *st.poison.get_or_insert(e);
         self.poisoned.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
+        self.notify();
         first
     }
 
@@ -506,13 +596,17 @@ impl LogShared {
         drop(storage);
         // Hand the drained batch back as the next spare buffer (unless
         // one huge batch grew it past the retention bound), and wake
-        // committers parked in `wait_durable`.
+        // committers parked in `wait_durable`, if any: a committer
+        // re-checks `durable_seq` under this lock before it parks, so
+        // one that is not parked yet sees the new watermark.
         let mut st = self.state.lock().unwrap();
         if batch.capacity() <= RETAINED_BATCH_BYTES {
             batch.clear();
             st.spare = batch;
         }
-        self.cv.notify_all();
+        if st.parked > 0 {
+            self.notify();
+        }
         Ok(true)
     }
 }
@@ -537,13 +631,16 @@ impl CommitLog {
                 next_seq: 1,
                 poison: None,
                 acks: Vec::new(),
-                track_acks: false,
+                parked: 0,
             }),
             cv: Condvar::new(),
             storage: Mutex::new(storage),
             durable_seq: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            track_acks: AtomicBool::new(false),
+            #[cfg(test)]
+            notifications: AtomicU64::new(0),
         });
         let flusher = if mode == DurabilityMode::Group {
             let s = shared.clone();
@@ -571,7 +668,7 @@ impl CommitLog {
     /// Record acked sequence numbers (crash-harness bookkeeping; off by
     /// default — it is one `Vec` push per commit under the state lock).
     pub fn track_acks(&self, on: bool) {
-        self.shared.state.lock().unwrap().track_acks = on;
+        self.shared.track_acks.store(on, Ordering::SeqCst);
     }
 
     /// Append a committed transaction's resolved writes. **Must** be
@@ -586,11 +683,13 @@ impl CommitLog {
         }
         let seq = st.next_seq;
         st.next_seq += 1;
-        let mut pending = std::mem::take(&mut st.pending);
-        encode_record(&mut pending, seq, writes);
-        st.pending = pending;
+        encode_record(&mut st.pending, seq, writes);
         st.pending_end_seq = seq;
-        self.shared.cv.notify_all();
+        // Only a parked group flusher (or committer) needs waking; a
+        // flusher not parked yet sees `pending` non-empty under this lock.
+        if st.parked > 0 {
+            self.shared.notify();
+        }
         Ok(Ticket { seq })
     }
 
@@ -629,9 +728,8 @@ impl CommitLog {
     pub fn wait_durable(&self, ticket: Ticket) -> Result<(), WalError> {
         loop {
             if self.shared.durable_seq.load(Ordering::SeqCst) >= ticket.seq {
-                let mut st = self.shared.state.lock().unwrap();
-                if st.track_acks {
-                    st.acks.push(ticket.seq);
+                if self.shared.track_acks.load(Ordering::SeqCst) {
+                    self.shared.state.lock().unwrap().acks.push(ticket.seq);
                 }
                 return Ok(());
             }
@@ -656,12 +754,17 @@ impl CommitLog {
                     }
                     #[cfg(not(feature = "shuttle"))]
                     {
+                        // Re-check under the lock before parking: the
+                        // flusher publishes `durable_seq` (and `poison`
+                        // sets its error) before taking this lock to
+                        // notify, so no wake-up can fall in between.
+                        // The timeout is only a safety net.
                         let st = self.shared.state.lock().unwrap();
-                        let _unused = self
-                            .shared
-                            .cv
-                            .wait_timeout(st, Duration::from_millis(1))
-                            .unwrap();
+                        if self.shared.durable_seq.load(Ordering::SeqCst) < ticket.seq
+                            && st.poison.is_none()
+                        {
+                            drop(self.shared.park(st, Duration::from_millis(1)));
+                        }
                     }
                 }
             }
@@ -672,7 +775,7 @@ impl CommitLog {
 impl Drop for CommitLog {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.notify();
         if let Some(h) = self.flusher.take() {
             let _ = h.join();
         } else if !self.is_poisoned() {
@@ -693,11 +796,7 @@ fn flusher_loop(shared: &LogShared) {
                 && !shared.shutdown.load(Ordering::SeqCst)
                 && st.poison.is_none()
             {
-                let (guard, _timeout) = shared
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(10))
-                    .unwrap();
-                st = guard;
+                st = shared.park(st, Duration::from_millis(10));
             }
             if st.poison.is_some() {
                 return;
@@ -826,6 +925,84 @@ mod tests {
         assert!(!log.flush_step().unwrap(), "nothing left to flush");
         log.wait_durable(t).unwrap();
         assert_eq!(log.durable_seq(), 1);
+    }
+
+    #[test]
+    fn sync_mode_commits_issue_no_notifications() {
+        let (sim, handle) = SimStorage::new();
+        let log = CommitLog::new(Box::new(sim), DurabilityMode::Sync);
+        log.track_acks(true);
+        for i in 0..1_000 {
+            let t = log.append(&[(Addr::from_index(i % 8), i as i64)]).unwrap();
+            log.wait_durable(t).unwrap();
+        }
+        assert_eq!(log.acked_count(), 1_000);
+        assert_eq!(
+            log.shared.notifications.load(Ordering::Relaxed),
+            0,
+            "nobody parks under Sync, so nobody is woken"
+        );
+        let (records, _, stop) = read_records(&handle.bytes());
+        assert_eq!((records.len(), stop), (1_000, StopReason::CleanEnd));
+    }
+
+    #[test]
+    fn group_mode_wakes_parked_threads() {
+        let (sim, handle) = SimStorage::new();
+        let log = CommitLog::new(Box::new(sim), DurabilityMode::Group);
+        log.track_acks(true);
+        std::thread::scope(|s| {
+            for thread in 0..2 {
+                let log = &log;
+                s.spawn(move || {
+                    for i in 0..500 {
+                        let t = log.append(&[(Addr::from_index(thread), i)]).unwrap();
+                        log.wait_durable(t).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(log.acked_count(), 1_000);
+        assert!(log.shared.notifications.load(Ordering::Relaxed) >= 1);
+        drop(log);
+        let (records, _, stop) = read_records(&handle.bytes());
+        assert_eq!((records.len(), stop), (1_000, StopReason::CleanEnd));
+    }
+
+    /// Storage whose every append fails.
+    struct FailingStorage;
+
+    impl LogStorage for FailingStorage {
+        fn append(&mut self, _: &[u8]) -> io::Result<()> {
+            Err(io::Error::from(io::ErrorKind::WriteZero))
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn poison_wakes_every_parked_committer_with_the_root_cause() {
+        let log = CommitLog::new(Box::new(FailingStorage), DurabilityMode::Manual);
+        let tickets = [log.append(&[]).unwrap(), log.append(&[]).unwrap()];
+        std::thread::scope(|s| {
+            let waiters = tickets.map(|t| {
+                let log = &log;
+                s.spawn(move || log.wait_durable(t))
+            });
+            // Fail the flush only once both committers are parked (the
+            // scheduler-hook build spins in `wait_durable` instead).
+            #[cfg(not(feature = "shuttle"))]
+            while log.shared.state.lock().unwrap().parked < 2 {
+                std::thread::yield_now();
+            }
+            let root = WalError::Append(io::ErrorKind::WriteZero);
+            assert_eq!(log.flush_step(), Err(root));
+            for w in waiters {
+                assert_eq!(w.join().unwrap(), Err(root));
+            }
+        });
+        assert!(log.shared.notifications.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! reproduce on failure.
 
 use semtm_core::util::SplitMix64;
-use semtm_core::wal::{encode_record, read_records, replay, StopReason};
+use semtm_core::wal::{crc32, encode_record, read_records, replay, StopReason};
 use semtm_core::{Addr, Heap};
 
 const HEAP_WORDS: usize = 1 << 10;
@@ -127,7 +127,7 @@ fn byte_flip_fuzz_stops_at_last_valid_record() {
         // original prefix exactly (a flipped byte can only truncate the
         // recovery, never fabricate or alter a record — CRC + contiguous
         // seqs guarantee it with overwhelming probability).
-        let (records, consumed, _stop) = read_records(&bytes);
+        let (records, consumed, stop) = read_records(&bytes);
         assert!(consumed <= bytes.len(), "case {case} pos {pos}");
         assert!(records.len() <= originals.len(), "case {case} pos {pos}");
         for (i, rec) in records.iter().enumerate() {
@@ -140,6 +140,8 @@ fn byte_flip_fuzz_stops_at_last_valid_record() {
         let heap = Heap::new(HEAP_WORDS);
         let report = replay(&bytes, &heap);
         assert_eq!(report.records as usize, records.len(), "case {case}");
+        assert_eq!(report.bytes_consumed, consumed, "case {case}");
+        assert_eq!(report.stopped, stop, "case {case}");
     }
 }
 
@@ -153,5 +155,46 @@ fn garbage_input_never_panics() {
         assert!(consumed <= garbage.len());
         // Random bytes essentially never form a CRC-valid seq-1 record.
         assert!(records.len() <= 1);
+    }
+}
+
+/// The plain bytewise IEEE CRC-32 (reflected, polynomial 0xEDB88320):
+/// the reference `crc32`'s slicing-by-8 must equal bit for bit, so logs
+/// written by either stay readable.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut c = i as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        *slot = c;
+    }
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+#[test]
+fn sliced_crc_equals_bytewise_reference() {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    let mut rng = SplitMix64::new(0xC3C3_2B8E);
+    let buf: Vec<u8> = (0..1024 + 8).map(|_| rng.next_u64() as u8).collect();
+    for start in 0..8 {
+        for len in 0..=1024 {
+            let bytes = &buf[start..start + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bytewise(bytes),
+                "start {start} len {len}"
+            );
+        }
     }
 }
